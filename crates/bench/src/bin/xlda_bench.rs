@@ -1,8 +1,8 @@
 //! `xlda-bench` — sweep-engine benchmark harness and CI throughput gate.
 //!
-//! Runs the fixed HDC/MANN/triage/MC sweep workloads, comparing the v1
-//! engine path (static chunking, no memoization) against the v2 path
-//! (work-stealing + cross-point memoization) plus a persistent
+//! Runs the fixed HDC/MANN/triage/MC sweep workloads, comparing the
+//! memo-off baseline against the v2 path (cross-point memoization on the
+//! same work-stealing engine) plus a persistent
 //! result-store cold/restart-warm arm per workload, writes the
 //! `BENCH_sweep.json` trajectory report, and optionally gates against a
 //! committed baseline.
@@ -22,30 +22,28 @@
 //! - `--smoke`: shrunken grids for CI (seconds, not minutes).
 //! - `--workload`: `hdc`, `mann`, `triage`, or `mc`; repeatable;
 //!   default all. `mc` runs Monte-Carlo trial populations per point and
-//!   adds `trials_per_sec` to the report; its v1/v2 checksum match is
-//!   the chunking-determinism gate.
+//!   adds `trials_per_sec` to the report.
 //! - `--out`: report path (default `BENCH_sweep.json`, or
 //!   `BENCH_serve.json` under `--loadgen`).
 //! - `--baseline`: gate against this committed report; exit 1 when v2
 //!   throughput falls below its `points_per_sec` floors minus
 //!   `--tolerance` (default 0.30), when a recorded `min_speedup` is
-//!   missed, when baseline/v2 outputs are not bit-identical, or — for
-//!   workloads with a cold columnar arm — when `cold_points_per_sec` /
-//!   `min_cold_speedup` floors are missed or the cold scalar/columnar
-//!   checksums diverge.
+//!   missed, or when baseline/v2 outputs are not bit-identical.
 //! - `--no-obs`: leave span instrumentation off (no per-layer
 //!   breakdown; what production embedders see by default).
 //! - `--trace PATH`: capture per-span events during the run and write
 //!   an NDJSON trace dump (span events + aggregates) to `PATH`.
 //! - `--obs-overhead`: instead of the engine comparison, run one
 //!   workload's v2 path with spans off then on; exit 1 when the
-//!   checksums differ or the enabled-mode wall-time overhead exceeds
-//!   5% (the CI `obs-overhead` gate).
+//!   checksums differ or the enabled-mode wall-time overhead
+//!   (`min(on)/min(off) − 1` over interleaved trials) exceeds 5% (the
+//!   CI `obs-overhead` gate).
 //! - `--flight-overhead`: the flight-recorder cost gate. Drives the
 //!   loadgen mix through recorder-off and recorder-on (+ access log)
 //!   in-process servers in interleaved pairs; exit 1 when the sorted
-//!   response checksums are not bit-identical or the median pair
-//!   overhead exceeds 5% (the CI gate next to `obs-overhead`).
+//!   response checksums are not bit-identical or the best-batch
+//!   overhead `min(on)/min(off) − 1` exceeds 5% (the CI gate next to
+//!   `obs-overhead`).
 //! - `--loadgen`: instead of the sweep benchmark, hammer `xlda-serve`
 //!   with a mixed hdc/mann/triage stream (in-process server unless
 //!   `--serve-addr` names a running daemon), verify bit-exact parity,
@@ -84,7 +82,6 @@ struct Args {
     duration_secs: Option<u64>,
     connections: Option<usize>,
     serve_addr: Option<String>,
-    transport: loadgen::Transport,
     access_log: Option<String>,
     store_smoke: bool,
     store_path: String,
@@ -99,8 +96,7 @@ fn usage() -> ! {
          \x20      xlda-bench --obs-overhead [--smoke] [--workload NAME] [--trace PATH]\n\
          \x20      xlda-bench --flight-overhead [--smoke]\n\
          \x20      xlda-bench --loadgen [--smoke] [--duration-secs N] \
-         [--connections N] [--serve-addr ADDR] [--transport event|threaded] \
-         [--access-log PATH] [--baseline PATH] [--out PATH]\n\
+         [--connections N] [--serve-addr ADDR] [--access-log PATH] [--baseline PATH] [--out PATH]\n\
          \x20      xlda-bench --store-smoke [--smoke] [--store-path PATH] \
          [--verify COLD.json] [--out PATH]"
     );
@@ -122,7 +118,6 @@ fn parse_args() -> Args {
         duration_secs: None,
         connections: None,
         serve_addr: None,
-        transport: loadgen::Transport::Event,
         access_log: None,
         store_smoke: false,
         store_path: "xlda_store.bin".to_string(),
@@ -168,10 +163,6 @@ fn parse_args() -> Args {
                 Some(a) => args.serve_addr = Some(a),
                 None => usage(),
             },
-            "--transport" => match it.next().as_deref().and_then(loadgen::Transport::parse) {
-                Some(t) => args.transport = t,
-                None => usage(),
-            },
             "--access-log" => match it.next() {
                 Some(p) => args.access_log = Some(p),
                 None => usage(),
@@ -201,7 +192,6 @@ fn run_loadgen(args: &Args) -> ExitCode {
         config.connections = n;
     }
     config.serve_addr = args.serve_addr.clone();
-    config.transport = args.transport;
     config.access_log = args.access_log.clone();
 
     let report = loadgen::run(&config);
@@ -395,23 +385,15 @@ fn main() -> ExitCode {
     }
     println!("\nreport written to {out}");
 
-    // Bit-exactness invariants hold regardless of a baseline file: the
-    // warm arms must agree, and so must the cold scalar/columnar pair.
+    // Bit-exactness holds regardless of a baseline file: the memo-off
+    // and memoized arms must agree.
     let mut failures: Vec<String> = Vec::new();
     for r in &results {
         if !r.checksum_match() {
             failures.push(format!(
-                "{} [v1 baseline vs v2 warm]: checksum mismatch ({:016x} vs {:016x})",
+                "{} [memo-off baseline vs v2 warm]: checksum mismatch ({:016x} vs {:016x})",
                 r.name, r.baseline.checksum, r.v2.checksum
             ));
-        }
-        if let Some(cold) = &r.cold {
-            if !cold.checksum_match() {
-                failures.push(format!(
-                    "{} [cold scalar vs cold columnar]: checksum mismatch ({:016x} vs {:016x})",
-                    r.name, cold.scalar.checksum, cold.columnar.checksum
-                ));
-            }
         }
     }
 

@@ -34,33 +34,6 @@ use xlda_core::sweep::memo;
 use xlda_serve::json::{obj, Json};
 use xlda_serve::{AccessLog, Server, ServerConfig};
 
-/// Which TCP transport the in-process server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// The readiness-driven event loop (the default transport).
-    Event,
-    /// The legacy thread-per-connection loop, kept as an A/B baseline.
-    Threaded,
-}
-
-impl Transport {
-    /// Parses `event` / `threaded`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "event" => Some(Self::Event),
-            "threaded" => Some(Self::Threaded),
-            _ => None,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Self::Event => "event",
-            Self::Threaded => "threaded",
-        }
-    }
-}
-
 /// Loadgen knobs (see `xlda-bench --help`).
 pub struct LoadgenConfig {
     /// Total wall-clock budget across both phases.
@@ -69,9 +42,6 @@ pub struct LoadgenConfig {
     pub connections: usize,
     /// External server address; `None` starts one in process.
     pub serve_addr: Option<String>,
-    /// Transport for the in-process server (ignored with
-    /// `serve_addr`: an external daemon picked its own).
-    pub transport: Transport,
     /// Wide-event access-log path for the in-process server (ignored
     /// with `serve_addr`): every benchmarked request is logged through
     /// the bounded non-blocking writer, so the run also measures the
@@ -81,7 +51,7 @@ pub struct LoadgenConfig {
 
 impl LoadgenConfig {
     /// Defaults: 10 s total (5 s under `--smoke`), 2 connections,
-    /// in-process server on the event-loop transport. Two connections,
+    /// in-process server. Two connections,
     /// not more: client threads share the machine with the server, and
     /// on the small CI box a larger fleet oversubscribes the cores and
     /// measures scheduler queueing instead of serving latency — Little's
@@ -92,7 +62,6 @@ impl LoadgenConfig {
             duration: Duration::from_secs(if smoke { 5 } else { 10 }),
             connections: 2,
             serve_addr: None,
-            transport: Transport::Event,
             access_log: None,
         }
     }
@@ -513,13 +482,8 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
                 .as_ref()
                 .map(|p| AccessLog::to_path(p).expect("open access log"));
             let server = Server::with_parts(ServerConfig::default(), None, log);
-            let transport = config.transport;
             let handle = std::thread::spawn(move || {
-                match transport {
-                    Transport::Event => server.run_tcp(listener),
-                    Transport::Threaded => server.run_tcp_threaded(listener),
-                }
-                .expect("server transport");
+                server.run_tcp(listener).expect("server transport");
             });
             (addr, Some(handle))
         }
@@ -692,7 +656,6 @@ pub fn to_json(report: &LoadgenReport, smoke: bool, config: &LoadgenConfig) -> S
     let doc = obj(vec![
         ("schema", Json::Str("xlda-bench-serve/v1".to_string())),
         ("smoke", Json::Bool(smoke)),
-        ("transport", Json::Str(config.transport.name().to_string())),
         ("duration_s", Json::Num(config.duration.as_secs_f64())),
         ("connections", Json::Num(config.connections as f64)),
         ("phases", Json::Arr(phases)),
@@ -859,7 +822,6 @@ mod tests {
             duration: Duration::from_millis(600),
             connections: 2,
             serve_addr: None,
-            transport: Transport::Event,
             access_log: None,
         };
         let report = run(&config);

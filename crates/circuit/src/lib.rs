@@ -15,10 +15,7 @@
 //!   energy as a function of the number of mismatching cells, and the
 //!   sense margin between adjacent mismatch counts;
 //! - [`adc`] — SAR ADC / DAC figure-of-merit models for crossbar
-//!   peripheries;
-//! - [`hoist`] — batch-scoped exact-key caches (no key quantization) the
-//!   columnar sweep kernels use to hoist invariant circuit solves out of
-//!   the point loop while staying bit-identical to the scalar path.
+//!   peripheries.
 //!
 //! # Examples
 //!
@@ -36,7 +33,6 @@ pub mod adc;
 pub mod decoder;
 pub mod error;
 pub mod gate;
-pub mod hoist;
 pub mod matchline;
 pub mod senseamp;
 pub mod tech;

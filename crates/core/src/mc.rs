@@ -152,7 +152,7 @@ fn fraction_candidate(name: &str, fraction: f64) -> Result<Candidate, XldaError>
 /// streams and one scratch column per output (pre-sized to the batch
 /// length); it must fill every column slot and draw only from the
 /// batch's own streams so results stay chunking-invariant. Scheduling
-/// (worker count, schedule arm, sweep chunking of the batch list) comes
+/// (worker count, sweep chunking of the batch list) comes
 /// from `opts`; any deadline in `opts` is ignored — an MC population is
 /// all-or-nothing, deadlines belong to the serving layer.
 ///
@@ -539,7 +539,7 @@ impl Scenario for MannAccuracyMcScenario {
         "mann_mc"
     }
 
-    /// Schedule-only `batch`/`threads` excluded; see
+    /// Scheduling-only `batch`/`threads` excluded; see
     /// [`CamYieldMcScenario::store_key`].
     fn store_key(&self) -> Option<Digest> {
         let mut w = DigestWriter::new(self.kind());
@@ -737,7 +737,7 @@ impl Scenario for NvmLifetimeMcScenario {
         "nvm_mc"
     }
 
-    /// Schedule-only `batch`/`threads` excluded; see
+    /// Scheduling-only `batch`/`threads` excluded; see
     /// [`CamYieldMcScenario::store_key`].
     fn store_key(&self) -> Option<Digest> {
         let mut w = DigestWriter::new(self.kind());
@@ -806,7 +806,6 @@ impl Scenario for NvmLifetimeMcScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::Schedule;
 
     #[test]
     fn run_trials_concatenates_in_order() {
@@ -1005,18 +1004,13 @@ mod tests {
         };
         let reference = s.outcomes_with(&SweepOptions::default()).unwrap();
         for batch in [1usize, 7, 64, 100] {
-            for schedule in [Schedule::StaticChunks, Schedule::WorkStealing] {
-                let v = MannAccuracyMcScenario {
-                    mc: McParams { batch, ..s.mc },
-                    ..s.clone()
-                };
-                let opts = SweepOptions::builder()
-                    .schedule(schedule)
-                    .threads(4)
-                    .build();
-                let got = v.outcomes_with(&opts).unwrap();
-                assert_eq!(got, reference, "batch {batch} schedule {schedule:?}");
-            }
+            let v = MannAccuracyMcScenario {
+                mc: McParams { batch, ..s.mc },
+                ..s.clone()
+            };
+            let opts = SweepOptions::builder().threads(4).build();
+            let got = v.outcomes_with(&opts).unwrap();
+            assert_eq!(got, reference, "batch {batch}");
         }
     }
 }

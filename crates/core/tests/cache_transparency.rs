@@ -6,7 +6,9 @@
 //! bit-identical whether memoization is enabled, disabled, or warm from
 //! a previous sweep. These properties drive the full cross-layer
 //! evaluation stack over random scenario grids and compare raw bit
-//! patterns across the three regimes.
+//! patterns across the three regimes, and sweep the same grids through
+//! [`sweep_scenarios`] at several worker/chunk shapes with the memo on
+//! and off.
 //!
 //! All tests toggling the process-global memo switch live in this one
 //! binary and serialize on [`MEMO_LOCK`], so the toggle never races a
@@ -15,8 +17,9 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Mutex;
-use xlda_core::evaluate::{HdcScenario, MannScenario, Scenario};
-use xlda_core::sweep::memo;
+use xlda_core::evaluate::{sweep_scenarios, HdcScenario, MannScenario, Scenario};
+use xlda_core::sweep::{memo, SweepOptions};
+use xlda_num::batch::CandidateBatch;
 
 static MEMO_LOCK: Mutex<()> = Mutex::new(());
 
@@ -70,6 +73,40 @@ fn assert_transparent<I>(grid: &[I], eval: impl Fn(&I) -> Vec<u64>) -> Result<()
     memo::set_enabled(true);
     prop_assert_eq!(&uncached, &cold, "cold cache changed results");
     prop_assert_eq!(&uncached, &warm, "warm cache changed results");
+    Ok(())
+}
+
+/// Sweeps `grid` through [`sweep_scenarios`] at threads {1, 2, 3} ×
+/// chunk {0, 1, 7}, memo off (cleared) then on, and asserts every batch
+/// matches the first: same checksum, same status and message per point.
+/// Restores the memo switch to enabled before asserting.
+fn assert_sweeps_agree<S: Scenario>(grid: &[S]) -> Result<(), TestCaseError> {
+    let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut runs: Vec<(String, CandidateBatch)> = Vec::new();
+    for memo_on in [false, true] {
+        memo::clear_all();
+        memo::set_enabled(memo_on);
+        for threads in [1usize, 2, 3] {
+            for chunk in [0usize, 1, 7] {
+                let opts = SweepOptions::builder()
+                    .threads(threads)
+                    .chunk(chunk)
+                    .build();
+                let label = format!("memo {memo_on}, threads {threads}, chunk {chunk}");
+                runs.push((label, sweep_scenarios(grid, &opts)));
+            }
+        }
+    }
+    memo::set_enabled(true);
+    let (_, reference) = &runs[0];
+    prop_assert_eq!(reference.points(), grid.len());
+    for (label, b) in &runs[1..] {
+        prop_assert_eq!(b.checksum(), reference.checksum(), "{}", label);
+        for p in 0..grid.len() {
+            prop_assert_eq!(b.point_status(p), reference.point_status(p), "{}", label);
+            prop_assert_eq!(b.point_message(p), reference.point_message(p), "{}", label);
+        }
+    }
     Ok(())
 }
 
@@ -131,5 +168,23 @@ proptest! {
         let mut grid = grid;
         grid.push(grid[0].clone());
         assert_transparent(&grid, mann_bits)?;
+    }
+
+    #[test]
+    fn hdc_grid_sweeps_agree_across_shapes_and_memo(
+        grid in prop::collection::vec(arb_hdc(), 1..4),
+    ) {
+        let mut grid = grid;
+        grid.push(grid[0].clone());
+        assert_sweeps_agree(&grid)?;
+    }
+
+    #[test]
+    fn mann_grid_sweeps_agree_across_shapes_and_memo(
+        grid in prop::collection::vec(arb_mann(), 1..4),
+    ) {
+        let mut grid = grid;
+        grid.push(grid[0].clone());
+        assert_sweeps_agree(&grid)?;
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! The MC engine's core contract is that results are a pure function of
 //! `(seed, trial_index)` — bit-identical for any batch size, worker
-//! count, or schedule arm. These tests pin that contract across all
-//! three scenario kinds and both sweep schedules, including a full
+//! count, or sweep chunking. These tests pin that contract across all
+//! three scenario kinds and several sweep shapes, including a full
 //! `evaluate()` equality check (summaries, yields, checksums, and the
 //! quantile-derived candidates all match, not just the raw columns).
 
 use proptest::prelude::*;
 use xlda_core::evaluate::Scenario;
 use xlda_core::mc::{CamYieldMcScenario, MannAccuracyMcScenario, McParams, NvmLifetimeMcScenario};
-use xlda_core::sweep::{Schedule, SweepOptions};
+use xlda_core::sweep::SweepOptions;
 use xlda_num::trial::checksum;
 
 /// A deliberately awkward population size: not a multiple of any batch
@@ -28,24 +28,20 @@ fn mc(seed: u64, batch: usize) -> McParams {
 
 fn arms() -> Vec<SweepOptions> {
     let mut out = Vec::new();
-    for schedule in [Schedule::StaticChunks, Schedule::WorkStealing] {
-        for threads in [1usize, 2, 4] {
-            for chunk in [0usize, 1, 7] {
-                out.push(
-                    SweepOptions::builder()
-                        .schedule(schedule)
-                        .threads(threads)
-                        .chunk(chunk)
-                        .build(),
-                );
-            }
+    for threads in [1usize, 2, 4] {
+        for chunk in [0usize, 1, 7] {
+            out.push(
+                SweepOptions::builder()
+                    .threads(threads)
+                    .chunk(chunk)
+                    .build(),
+            );
         }
     }
     out
 }
 
-/// Runs `outcomes_with` for every (schedule, threads, sweep-chunk,
-/// batch) arm and asserts the columns are bit-identical to the
+/// Runs `outcomes_with` for every (threads, sweep-chunk, batch) arm and asserts the columns are bit-identical to the
 /// single-threaded default-batch reference.
 fn assert_invariant<S, F>(seed: u64, build: F)
 where

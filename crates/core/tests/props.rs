@@ -130,7 +130,7 @@ proptest! {
 
 mod sweep_props {
     use proptest::prelude::*;
-    use xlda_core::sweep::{par_map, par_map_with, Cache, Schedule, SweepOptions};
+    use xlda_core::sweep::{par_map, par_map_with, Cache, SweepOptions};
 
     proptest! {
         #[test]
@@ -148,21 +148,18 @@ mod sweep_props {
         ) {
             // Work-stealing hands out chunks in racy claim order; the
             // engine must still return results in input order, exactly
-            // matching the v1 static partitioning.
+            // matching a sequential map.
             let f = |&x: &f64| x.sin() * x + 1.0;
             let stealing = par_map_with(
                 &xs,
                 f,
                 &SweepOptions::builder()
-                    .schedule(Schedule::WorkStealing)
                     .threads(threads)
                     .chunk(chunk)
                     .build(),
             );
-            let static_v1 = par_map_with(&xs, f, &SweepOptions::v1_static());
             let seq: Vec<f64> = xs.iter().map(f).collect();
             prop_assert_eq!(&stealing, &seq);
-            prop_assert_eq!(&static_v1, &seq);
         }
 
         #[test]

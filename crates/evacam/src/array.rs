@@ -4,10 +4,8 @@ use crate::design::{CamConfig, CamError, DataKind, MatchKind};
 use xlda_circuit::decoder::Decoder;
 use xlda_circuit::error::ceil_log2;
 use xlda_circuit::gate::{BufferChain, Gate, GateKind};
-use xlda_circuit::hoist::ExactCache;
-use xlda_circuit::matchline::{Matchline, MatchlineConfig};
+use xlda_circuit::matchline::Matchline;
 use xlda_circuit::senseamp::SenseAmp;
-use xlda_circuit::tech::TechNode;
 use xlda_circuit::wire::Wire;
 
 /// An analyzed CAM array: configuration plus derived circuit models.
@@ -311,78 +309,6 @@ impl CamArray {
     }
 }
 
-/// Batch-scoped CAM analysis with the sense-margin search hoisted.
-///
-/// [`CamArray::new`] spends its constructor budget on
-/// [`Matchline::max_cells_for`] — a search over matchline lengths that
-/// depends only on `(matchline config, required resolution, tech)`, not
-/// on the swept word width or word count. Across a columnar sweep batch
-/// those three inputs repeat for every point of a workload, so this
-/// solver caches the `(sense amp, max columns)` pair in an
-/// [`ExactCache`] (full-equality keys, no quantization) and rebuilds
-/// only the per-point remainder (segmentation, matchline instance,
-/// report). Results are bit-identical to `CamArray::new(..)?.report()`:
-/// the cached pair comes from the same pure solves on identical inputs,
-/// and everything downstream is `CamArray`'s own code.
-///
-/// Intended lifetime is one sweep chunk; create per batch (it is not
-/// `Sync`).
-#[derive(Debug, Clone, Default)]
-pub struct CamSolver {
-    margins: ExactCache<(MatchlineConfig, usize, TechNode), (SenseAmp, Option<usize>)>,
-}
-
-impl CamSolver {
-    /// An empty solver.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Analyzes `config` exactly as [`CamArray::new`], with the
-    /// matchline-length search served from the batch cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`CamError`]s as [`CamArray::new`].
-    pub fn array(&mut self, config: CamConfig) -> Result<CamArray, CamError> {
-        config.check()?;
-        let cells = config.cells_per_word();
-        let mlcfg = config.design.matchline_config();
-        let req = config.match_kind.required_resolution();
-        let (sa, max_cols) = self
-            .margins
-            .get_or_clone((mlcfg, req, config.tech.clone()), |_| {
-                let sa = SenseAmp::voltage_latch(&config.tech);
-                let max_cols = Matchline::max_cells_for(mlcfg, &config.tech, req, &sa);
-                (sa, max_cols)
-            });
-        let max_cols = max_cols.ok_or(CamError::SenseMarginUnachievable {
-            required_resolution: req,
-        })?;
-        let segments = cells.div_ceil(max_cols);
-        let cols_per_segment = cells.div_ceil(segments);
-        let ml = Matchline::new(mlcfg, &config.tech, cols_per_segment);
-        let mismatch_limit = ml.mismatch_limit(&sa);
-        Ok(CamArray {
-            config,
-            segments,
-            cols_per_segment,
-            ml,
-            sa,
-            mismatch_limit,
-        })
-    }
-
-    /// `CamArray::new(config)?.report()` through the batch cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`CamError`]s as [`CamArray::new`].
-    pub fn report(&mut self, config: CamConfig) -> Result<CamReport, CamError> {
-        Ok(self.array(config)?.report())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,86 +490,6 @@ mod tests {
         let full = CamArray::new(base()).unwrap().report();
         assert!(one.search_energy_j < full.search_energy_j);
         assert!(one.search_latency_s <= full.search_latency_s);
-    }
-
-    #[test]
-    fn solver_matches_direct_construction_bit_for_bit() {
-        let mut solver = CamSolver::new();
-        let configs = [
-            base(),
-            CamConfig {
-                words: 26,
-                bits_per_word: 4096 * 3,
-                design: CamCellDesign::Fefet2T,
-                data: DataKind::MultiBit(3),
-                match_kind: MatchKind::Best { max_distance: 8 },
-                ..base()
-            },
-            CamConfig {
-                words: 65_000,
-                bits_per_word: 64,
-                design: CamCellDesign::Rram2T2R,
-                data: DataKind::Ternary,
-                match_kind: MatchKind::Best { max_distance: 4 },
-                ..base()
-            },
-            CamConfig {
-                words: 1,
-                match_kind: MatchKind::Exact,
-                ..base()
-            },
-        ];
-        for config in configs {
-            let direct = CamArray::new(config.clone()).expect("models").report();
-            let cached = solver.report(config).expect("models");
-            assert_eq!(direct.area_um2.to_bits(), cached.area_um2.to_bits());
-            assert_eq!(
-                direct.search_latency_s.to_bits(),
-                cached.search_latency_s.to_bits()
-            );
-            assert_eq!(
-                direct.search_energy_j.to_bits(),
-                cached.search_energy_j.to_bits()
-            );
-            assert_eq!(
-                direct.write_latency_s.to_bits(),
-                cached.write_latency_s.to_bits()
-            );
-            assert_eq!(
-                direct.write_energy_j.to_bits(),
-                cached.write_energy_j.to_bits()
-            );
-            assert_eq!(direct.leakage_w.to_bits(), cached.leakage_w.to_bits());
-            assert_eq!(
-                (
-                    direct.segments,
-                    direct.cols_per_segment,
-                    direct.mismatch_limit
-                ),
-                (
-                    cached.segments,
-                    cached.cols_per_segment,
-                    cached.mismatch_limit
-                )
-            );
-        }
-    }
-
-    #[test]
-    fn solver_reproduces_construction_errors() {
-        let mut solver = CamSolver::new();
-        let bad = CamConfig {
-            bits_per_word: 128,
-            match_kind: MatchKind::Best { max_distance: 48 },
-            ..base()
-        };
-        let direct = CamArray::new(bad.clone()).unwrap_err();
-        let cached = solver.report(bad.clone()).unwrap_err();
-        assert_eq!(direct, cached);
-        // The negative margin result is cached too: a second query hits.
-        let before = solver.margins.len();
-        let _ = solver.report(bad).unwrap_err();
-        assert_eq!(solver.margins.len(), before);
     }
 
     #[test]

@@ -43,5 +43,5 @@ mod design;
 pub mod validate;
 pub mod variation;
 
-pub use array::{CamArray, CamReport, CamSolver};
+pub use array::{CamArray, CamReport};
 pub use design::{CamCellDesign, CamConfig, CamError, DataKind, MatchKind};

@@ -18,9 +18,8 @@
 //! - [`trial`] — structure-of-arrays Monte-Carlo trial batches with
 //!   per-trial `(seed, index)`-derived streams, distribution summaries,
 //!   and determinism checksums for the variation-aware scenarios;
-//! - [`batch`] — structure-of-arrays candidate batches, exact-key hoist
-//!   caches, and lane-unrolled column passes backing the columnar sweep
-//!   kernels in `xlda_core::evaluate`.
+//! - [`batch`] — structure-of-arrays candidate batches, the result shape
+//!   of `xlda_core::evaluate::sweep_scenarios`.
 //!
 //! # Examples
 //!

@@ -26,7 +26,6 @@
 pub mod lifetime;
 
 use xlda_circuit::decoder::Decoder;
-use xlda_circuit::hoist::{ExactCache, RepeatedWireCache};
 use xlda_circuit::senseamp::SenseAmp;
 use xlda_circuit::tech::TechNode;
 use xlda_circuit::wire::{RepeatedWire, Wire};
@@ -42,6 +41,11 @@ use xlda_num::memo_cache;
 memo_cache!(
     static RAM_ORG: (u64, usize, RamCell, OptTarget, u64) => Result<(usize, usize), RamError>,
     "nvram.auto_organize"
+);
+
+memo_cache!(
+    static RAM_GEOM: (usize, usize, RamCell, u64) => GeomSolve,
+    "nvram.geometry"
 );
 
 /// Storage-cell style for a RAM array.
@@ -316,11 +320,11 @@ impl RamArray {
     }
 
     /// Solves every sub-model that depends only on the subarray geometry
-    /// — not on capacity or word width. This is the hoistable part of
+    /// — not on capacity or word width. This is the memoized part of
     /// [`report`](RamArray::report): the 36-geometry search of
     /// [`auto_organize`](RamArray::auto_organize) revisits the same
     /// handful of `(rows, cols, cell, tech)` tuples for every sweep
-    /// point, so [`RamBatchSolver`] caches these solves per geometry and
+    /// point, so `report` solves each geometry once per process and
     /// recomposes only the per-point remainder (mat tiling, routing,
     /// word energies).
     fn geom_solve(&self) -> GeomSolve {
@@ -366,10 +370,8 @@ impl RamArray {
         }
     }
 
-    /// Composes the full report from hoisted geometry solves plus the
-    /// per-point route. Every expression matches the pre-refactor
-    /// monolithic `report()` term for term, so scalar and batch callers
-    /// get bit-identical figures.
+    /// Composes the full report from the geometry solve plus the
+    /// per-point route.
     fn report_from(&self, g: &GeomSolve, route: &RepeatedWire) -> RamReport {
         let read_latency = route.delay() + g.sub_read_latency_s + route.delay();
         let write_latency = route.delay() + g.dec_delay_s + g.write_verify * g.dev_write_latency_s;
@@ -396,8 +398,20 @@ impl RamArray {
     }
 
     /// Full figure-of-merit report.
+    ///
+    /// The geometry solve is memoized process-wide under the exact key
+    /// `(sub_rows, sub_cols, cell, tech.memo_key())` — every input of
+    /// [`GeomSolve`] — so a hit returns the bits a fresh solve would.
     pub fn report(&self) -> RamReport {
-        let g = self.geom_solve();
+        let g = RAM_GEOM.get_or_insert_with(
+            (
+                self.sub_rows,
+                self.sub_cols,
+                self.config.cell,
+                self.config.tech.memo_key(),
+            ),
+            || self.geom_solve(),
+        );
         let route = RepeatedWire::new(self.route_len_m(g.sub_area_m2), 250e-6, &self.config.tech);
         self.report_from(&g, &route)
     }
@@ -407,8 +421,8 @@ impl RamArray {
 ///
 /// Everything in here is a pure function of `(sub_rows, sub_cols, cell,
 /// tech)` — the mat count, word width, and total capacity do not enter —
-/// which is what makes it safe to hoist across the points of a columnar
-/// sweep batch.
+/// which is what makes it safe to memoize under exactly that key (the
+/// cell fixes the device preset behind [`RamCell::device`]).
 #[derive(Debug, Clone, Copy)]
 struct GeomSolve {
     sub_area_m2: f64,
@@ -423,95 +437,6 @@ struct GeomSolve {
     dev_write_latency_s: f64,
     dev_write_energy_j: f64,
     cell_leak_per_bit_w: f64,
-}
-
-/// Batch-scoped NVM organization solver for the columnar sweep kernels.
-///
-/// [`RamArray::auto_organize`] runs a 36-geometry search whose
-/// decoder/sense-amp/bitline sub-solves depend only on `(rows, cols,
-/// cell, tech)` — not on the swept capacity — so across a batch of
-/// sweep points the search revisits the same geometry solves over and
-/// over. This solver hoists them into [`ExactCache`]s keyed by full
-/// equality (no quantization, unlike the global memo layer), leaving
-/// only mat tiling, H-tree routing, and word-energy composition per
-/// point. Results are bit-identical to the scalar
-/// `auto_organize(..).report()` path by construction: cached values are
-/// produced by the same pure solves on identical inputs, and
-/// composition shares [`RamArray`]'s own expressions.
-///
-/// Intended lifetime is one sweep chunk; create per batch (it is not
-/// `Sync`) and let hits amortize across the chunk's points.
-#[derive(Debug, Clone, Default)]
-pub struct RamBatchSolver {
-    geoms: ExactCache<(usize, usize, RamCell, TechNode), GeomSolve>,
-    routes: RepeatedWireCache,
-}
-
-impl RamBatchSolver {
-    /// An empty solver.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The report of `ram`, composed from cached geometry/route solves.
-    pub fn report_for(&mut self, ram: &RamArray) -> RamReport {
-        let key = (
-            ram.sub_rows,
-            ram.sub_cols,
-            ram.config.cell,
-            ram.config.tech.clone(),
-        );
-        let g = *self.geoms.get_or_insert_with(key, |_| ram.geom_solve());
-        let route = self
-            .routes
-            .get(ram.route_len_m(g.sub_area_m2), 250e-6, &ram.config.tech);
-        ram.report_from(&g, &route)
-    }
-
-    /// Batch equivalent of `RamArray::auto_organize(config, target)?
-    /// .report()`: runs the identical geometry search (same candidate
-    /// set, same skip rule, same strict-`<` tie-break) with the
-    /// sub-solves cached, returning the winning report directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RamError`] for degenerate configurations, exactly as
-    /// the scalar path does.
-    pub fn auto_organize_report(
-        &mut self,
-        config: &RamConfig,
-        target: OptTarget,
-    ) -> Result<RamReport, RamError> {
-        let _span = xlda_obs::span!("nvram.auto_organize");
-        let mut best: Option<(f64, RamReport)> = None;
-        for shift_r in 7..=12 {
-            for shift_c in 7..=12 {
-                let rows = 1usize << shift_r;
-                let cols = 1usize << shift_c;
-                if (rows * cols) as u64 > config.capacity_bits.max(1) * 4 {
-                    continue;
-                }
-                let ram = RamArray::with_subarray(config, rows, cols)?;
-                let rep = self.report_for(&ram);
-                let score = match target {
-                    OptTarget::ReadLatency => rep.read_latency_s,
-                    OptTarget::ReadEnergy => rep.read_energy_j,
-                    OptTarget::Area => rep.area_mm2,
-                    OptTarget::ReadEdp => rep.read_latency_s * rep.read_energy_j,
-                };
-                if best.as_ref().is_none_or(|(s, _)| score < *s) {
-                    best = Some((score, rep));
-                }
-            }
-        }
-        match best {
-            Some((_, rep)) => Ok(rep),
-            None => {
-                let ram = RamArray::with_subarray(config, 128, 128)?;
-                Ok(self.report_for(&ram))
-            }
-        }
-    }
 }
 
 impl PartialEq for RamArray {
@@ -637,52 +562,31 @@ mod tests {
     }
 
     #[test]
-    fn batch_solver_matches_scalar_path_bit_for_bit() {
-        let mut solver = RamBatchSolver::new();
+    fn geometry_memo_hit_matches_a_fresh_solve_bit_for_bit() {
         let cells = [
             RamCell::Sram6T,
             RamCell::Rram1T1R,
+            RamCell::Pcm1T1R,
+            RamCell::Mram1T1R,
             RamCell::Fefet1T,
             RamCell::Nand3D { layers: 64 },
+            RamCell::Rram3D { layers: 8 },
         ];
-        let targets = [OptTarget::ReadLatency, OptTarget::Area, OptTarget::ReadEdp];
-        for cell in cells {
-            for capacity in [1u64 << 20, 8 << 20, (8 << 20) + 12_345] {
-                for target in targets {
-                    let config = cfg(cell, capacity);
-                    let scalar = RamArray::auto_organize(&config, target)
-                        .expect("organizes")
-                        .report();
-                    let batch = solver
-                        .auto_organize_report(&config, target)
-                        .expect("organizes");
-                    assert_reports_bit_identical(&scalar, &batch);
-                }
+        for tech in [TechNode::n40(), TechNode::n22()] {
+            for cell in cells {
+                let config = RamConfig {
+                    tech: tech.clone(),
+                    ..cfg(cell, 8 << 20)
+                };
+                let ram = RamArray::with_subarray(&config, 512, 256).expect("organizes");
+                let _ = ram.report();
+                let hits = RAM_GEOM.stats().hits();
+                let memoized = ram.report();
+                assert!(RAM_GEOM.stats().hits() > hits, "{cell:?}: no memo hit");
+                let g = ram.geom_solve();
+                let route = RepeatedWire::new(ram.route_len_m(g.sub_area_m2), 250e-6, &tech);
+                assert_reports_bit_identical(&memoized, &ram.report_from(&g, &route));
             }
-        }
-        // Hoisting actually happened: far fewer geometry solves than
-        // (cells × capacities × targets × 36 search candidates).
-        assert!(solver.geoms.len() <= 4 * 6 * 6);
-    }
-
-    #[test]
-    fn batch_solver_reproduces_scalar_errors() {
-        let mut solver = RamBatchSolver::new();
-        for config in [
-            RamConfig {
-                capacity_bits: 0,
-                ..RamConfig::default()
-            },
-            RamConfig {
-                capacity_bits: 8,
-                word_bits: 64,
-                ..RamConfig::default()
-            },
-        ] {
-            let scalar =
-                RamArray::auto_organize(&config, OptTarget::ReadLatency).map(|ram| ram.report());
-            let batch = solver.auto_organize_report(&config, OptTarget::ReadLatency);
-            assert_eq!(scalar.unwrap_err(), batch.unwrap_err());
         }
     }
 

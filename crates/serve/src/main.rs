@@ -7,8 +7,7 @@
 //!
 //! Options: `--queue-cap N`, `--batch-window-ms N` (saturation-test
 //! knob, default 0), `--batch-max N`, `--threads N`, `--deadline-ms N`
-//! (default per-request deadline), `--max-frame BYTES`, `--threaded`
-//! (legacy thread-per-connection TCP transport), `--store PATH`
+//! (default per-request deadline), `--max-frame BYTES`, `--store PATH`
 //! (persistent result store; results survive restarts and back the
 //! `refine` request kind), `--access-log PATH` (wide-event NDJSON log,
 //! one line per request), `--no-flight` / `--flight-cap N` (per-request
@@ -25,7 +24,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: xlda-serve [--stdio | --listen ADDR] [--queue-cap N] \
          [--batch-window-ms N] [--batch-max N] [--threads N] [--deadline-ms N] \
-         [--max-frame BYTES] [--threaded] [--store PATH] [--access-log PATH] \
+         [--max-frame BYTES] [--store PATH] [--access-log PATH] \
          [--no-flight] [--flight-cap N]"
     );
     exit(2);
@@ -44,7 +43,6 @@ fn parse_num(args: &mut std::vec::IntoIter<String>, flag: &str) -> u64 {
 fn main() {
     let mut config = ServerConfig::default();
     let mut stdio = false;
-    let mut threaded = false;
     let mut store_path: Option<String> = None;
     let mut access_log_path: Option<String> = None;
     let mut listen = "127.0.0.1:7878".to_string();
@@ -72,7 +70,6 @@ fn main() {
             "--max-frame" => {
                 config.max_frame = (parse_num(&mut args, "--max-frame") as usize).max(1);
             }
-            "--threaded" => threaded = true,
             "--store" => match args.next() {
                 Some(p) => store_path = Some(p),
                 None => usage(),
@@ -149,12 +146,7 @@ fn main() {
     if let Ok(addr) = listener.local_addr() {
         eprintln!("xlda-serve: listening on {addr}");
     }
-    let result = if threaded {
-        server.run_tcp_threaded(listener)
-    } else {
-        server.run_tcp(listener)
-    };
-    if let Err(e) = result {
+    if let Err(e) = server.run_tcp(listener) {
         eprintln!("xlda-serve: transport failed: {e}");
         exit(1);
     }

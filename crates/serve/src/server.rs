@@ -35,11 +35,13 @@
 //!   no accepted request is silently dropped.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, Write};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+#[cfg(not(unix))]
+use std::{io::BufReader, net::TcpStream};
 
 use crate::access_log::{self, AccessLog};
 use crate::json::{obj, Json};
@@ -277,7 +279,7 @@ pub(crate) struct Shared {
     /// Wide-event NDJSON access log, when one is configured.
     access_log: Option<AccessLog>,
     /// Installed by the event loop so `shutdown()` and workers can wake
-    /// it; `None` under stdio/threaded transports.
+    /// it; `None` under the stdio transport.
     #[cfg(unix)]
     waker: Mutex<Option<crate::conn::Waker>>,
 }
@@ -425,16 +427,7 @@ impl Server {
         #[cfg(unix)]
         let result = crate::event_loop::run(&self.shared, listener);
         #[cfg(not(unix))]
-        let result = run_tcp_threaded_inner(&self.shared, listener);
-        self.join();
-        result
-    }
-
-    /// Runs the legacy thread-per-connection TCP transport. Kept as the
-    /// A/B baseline for the event loop (responses must be bit-exact
-    /// across both) and as the non-unix fallback.
-    pub fn run_tcp_threaded(mut self, listener: TcpListener) -> std::io::Result<()> {
-        let result = run_tcp_threaded_inner(&self.shared, listener);
+        let result = thread_per_connection(&self.shared, listener);
         self.join();
         result
     }
@@ -469,7 +462,10 @@ pub(crate) fn accept_retryable(e: &std::io::Error) -> bool {
     ) || matches!(e.raw_os_error(), Some(23) | Some(24) | Some(12))
 }
 
-fn run_tcp_threaded_inner(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
+/// The non-unix TCP transport: a thread per connection, polling the
+/// listener for drain.
+#[cfg(not(unix))]
+fn thread_per_connection(shared: &Arc<Shared>, listener: TcpListener) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
     while !shared.draining.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -482,9 +478,8 @@ fn run_tcp_threaded_inner(shared: &Arc<Shared>, listener: TcpListener) -> std::i
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Poll for drain at 1 ms; the event loop (the default
-                // transport on unix) has no such tax — its listener is
-                // readiness-driven.
+                // Poll for drain at 1 ms; the unix event loop has no such
+                // tax — its listener is readiness-driven.
                 std::thread::sleep(Duration::from_millis(1));
             }
             Err(e) if accept_retryable(&e) => {
@@ -496,6 +491,7 @@ fn run_tcp_threaded_inner(shared: &Arc<Shared>, listener: TcpListener) -> std::i
     Ok(())
 }
 
+#[cfg(not(unix))]
 fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
     // Line-at-a-time request/response traffic is exactly the pattern
     // Nagle + delayed ACK turns into ~40 ms stalls; disable batching.

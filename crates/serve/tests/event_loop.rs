@@ -1,7 +1,7 @@
 //! Adversarial clients against the readiness-driven TCP transport:
 //! slow writers, split and pipelined frames, oversized and malformed
-//! frames, deadline expiry behind a stalled batch, abrupt disconnects,
-//! and an event-vs-threaded transport A/B parity check.
+//! frames, deadline expiry behind a stalled batch, and abrupt
+//! disconnects.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -12,19 +12,14 @@ use std::time::{Duration, Instant};
 use xlda_serve::json::Json;
 use xlda_serve::{Server, ServerConfig};
 
-/// Binds a throwaway port and runs the given transport on its own
+/// Binds a throwaway port and runs the TCP transport on its own
 /// thread; the server exits when a client sends `shutdown`.
-fn spawn(config: ServerConfig, threaded: bool) -> (SocketAddr, JoinHandle<()>) {
+fn spawn(config: ServerConfig) -> (SocketAddr, JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
     let server = Server::new(config);
     let handle = std::thread::spawn(move || {
-        let r = if threaded {
-            server.run_tcp_threaded(listener)
-        } else {
-            server.run_tcp(listener)
-        };
-        r.expect("transport exits cleanly");
+        server.run_tcp(listener).expect("transport exits cleanly");
     });
     // The listener is bound before spawn, so clients can connect
     // immediately; the kernel queues them until the loop accepts.
@@ -60,7 +55,7 @@ fn shutdown(addr: SocketAddr, handle: JoinHandle<()>) {
 
 #[test]
 fn byte_at_a_time_client_is_served() {
-    let (addr, handle) = spawn(ServerConfig::default(), false);
+    let (addr, handle) = spawn(ServerConfig::default());
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
     // Trickle the frame in one byte per write: the loop must
@@ -83,7 +78,7 @@ fn byte_at_a_time_client_is_served() {
 
 #[test]
 fn pipelined_and_split_frames_all_answered() {
-    let (addr, handle) = spawn(ServerConfig::default(), false);
+    let (addr, handle) = spawn(ServerConfig::default());
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
     // Three whole frames in one segment, then one frame split midway
@@ -112,13 +107,10 @@ fn pipelined_and_split_frames_all_answered() {
 
 #[test]
 fn oversized_frame_rejected_and_connection_closed() {
-    let (addr, handle) = spawn(
-        ServerConfig {
-            max_frame: 256,
-            ..ServerConfig::default()
-        },
-        false,
-    );
+    let (addr, handle) = spawn(ServerConfig {
+        max_frame: 256,
+        ..ServerConfig::default()
+    });
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
     // 4 KiB with no newline: the framing cursor can never resync, so
@@ -141,7 +133,7 @@ fn oversized_frame_rejected_and_connection_closed() {
 
 #[test]
 fn malformed_frame_fails_alone_connection_stays_usable() {
-    let (addr, handle) = spawn(ServerConfig::default(), false);
+    let (addr, handle) = spawn(ServerConfig::default());
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
     // Invalid UTF-8, then garbage JSON, then a valid request — the
@@ -169,14 +161,11 @@ fn deadline_expires_behind_a_stalled_batch() {
     // One worker with a 150 ms pre-drain stall (the saturation knob):
     // both requests sit queued long enough for the zero-deadline one
     // to expire, while its neighbour completes normally.
-    let (addr, handle) = spawn(
-        ServerConfig {
-            threads: 1,
-            batch_window: Duration::from_millis(150),
-            ..ServerConfig::default()
-        },
-        false,
-    );
+    let (addr, handle) = spawn(ServerConfig {
+        threads: 1,
+        batch_window: Duration::from_millis(150),
+        ..ServerConfig::default()
+    });
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
     c.write_all(b"{\"id\":\"patient\",\"kind\":\"hdc\"}\n{\"id\":\"expired\",\"kind\":\"hdc\",\"deadline_ms\":0}\n")
@@ -200,7 +189,7 @@ fn deadline_expires_behind_a_stalled_batch() {
 
 #[test]
 fn abrupt_disconnect_releases_the_connection_slot() {
-    let (addr, handle) = spawn(ServerConfig::default(), false);
+    let (addr, handle) = spawn(ServerConfig::default());
     // A client that submits work and vanishes without reading: the
     // response must be discarded and the slot reclaimed, not leaked.
     for _ in 0..3 {
@@ -230,53 +219,4 @@ fn abrupt_disconnect_releases_the_connection_slot() {
     }
     assert_eq!(open, 1.0, "vanished clients must not leak slots");
     shutdown(addr, handle);
-}
-
-#[test]
-fn event_and_threaded_transports_answer_bit_exactly_alike() {
-    let requests: Vec<String> = [
-        r#"{"id":"r0","kind":"hdc"}"#,
-        r#"{"id":"r1","kind":"mann"}"#,
-        r#"{"id":"r2","kind":"edge"}"#,
-        r#"{"id":"r3","kind":"tpu_nvm"}"#,
-        r#"{"id":"r4","kind":"hdc","scenario":{"dimension":4096}}"#,
-        r#"{"id":"r5","kind":"triage","objective":{"top_k":3}}"#,
-        r#"{"id":"r6","kind":"nope"}"#,
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-
-    let collect = |threaded: bool| -> std::collections::BTreeMap<String, String> {
-        let (addr, handle) = spawn(ServerConfig::default(), threaded);
-        let mut c = connect(addr);
-        let mut reader = BufReader::new(c.try_clone().unwrap());
-        for r in &requests {
-            c.write_all(r.as_bytes()).unwrap();
-            c.write_all(b"\n").unwrap();
-        }
-        c.flush().unwrap();
-        let mut by_id = std::collections::BTreeMap::new();
-        for _ in 0..requests.len() {
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            let id = Json::parse(line.trim_end())
-                .unwrap()
-                .get("id")
-                .and_then(Json::as_str)
-                .unwrap()
-                .to_string();
-            by_id.insert(id, line.trim_end().to_string());
-        }
-        drop((c, reader));
-        shutdown(addr, handle);
-        by_id
-    };
-
-    let event = collect(false);
-    let threaded = collect(true);
-    assert_eq!(event.len(), requests.len());
-    // Byte-for-byte identical responses (bit-exact floats included):
-    // the transports may differ in scheduling, never in answers.
-    assert_eq!(event, threaded);
 }
