@@ -7,7 +7,7 @@
 use crate::error::{ceil_log2, CircuitError};
 use crate::gate::{BufferChain, Gate, GateKind};
 use crate::tech::TechNode;
-use xlda_num::memo::quantize;
+use xlda_num::memo::f64_key;
 use xlda_num::memo_cache;
 
 /// Memoized figure-of-merit bundle of one decoder geometry. Sweeps
@@ -124,7 +124,7 @@ impl Decoder {
         DECODER_FOMS.get_or_insert_with(
             (
                 self.outputs,
-                quantize(self.output_load),
+                f64_key(self.output_load),
                 self.tech.memo_key(),
             ),
             || {

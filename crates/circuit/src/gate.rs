@@ -6,7 +6,7 @@
 //! technology's FO1 inverter delay.
 
 use crate::tech::TechNode;
-use xlda_num::memo::quantize;
+use xlda_num::memo::f64_key;
 use xlda_num::memo_cache;
 
 /// Static CMOS gate families with their logical effort and parasitic delay.
@@ -146,14 +146,14 @@ impl BufferChain {
     /// Driver sizing recurs identically across sweep points (every
     /// wordline/searchline/repeater of the same geometry sizes the same
     /// chain), so the result is memoized process-wide keyed by the
-    /// quantized capacitances and the technology digest.
+    /// exact capacitances and the technology digest.
     ///
     /// # Panics
     ///
     /// Panics if either capacitance is not positive.
     pub fn size_for(c_in: f64, c_load: f64, tech: &TechNode) -> Self {
         assert!(c_in > 0.0 && c_load > 0.0, "capacitances must be positive");
-        CHAIN_SIZING.get_or_insert_with((quantize(c_in), quantize(c_load), tech.memo_key()), || {
+        CHAIN_SIZING.get_or_insert_with((f64_key(c_in), f64_key(c_load), tech.memo_key()), || {
             Self::size_for_uncached(c_in, c_load, tech)
         })
     }

@@ -12,7 +12,7 @@
 
 use crate::senseamp::SenseAmp;
 use crate::tech::TechNode;
-use xlda_num::memo::quantize;
+use xlda_num::memo::f64_key;
 use xlda_num::memo_cache;
 
 /// Electrical parameters of one CAM cell as seen by its matchline.
@@ -45,14 +45,14 @@ impl Default for MatchlineConfig {
 }
 
 impl MatchlineConfig {
-    /// Quantized cache-key words for the five electrical parameters.
-    fn quantized(&self) -> [u64; 5] {
+    /// Exact cache-key words for the five electrical parameters.
+    fn key_words(&self) -> [u64; 5] {
         [
-            quantize(self.g_on),
-            quantize(self.g_off),
-            quantize(self.c_cell),
-            quantize(self.precharge_frac),
-            quantize(self.v_ref_frac),
+            f64_key(self.g_on),
+            f64_key(self.g_off),
+            f64_key(self.c_cell),
+            f64_key(self.precharge_frac),
+            f64_key(self.v_ref_frac),
         ]
     }
 }
@@ -215,10 +215,10 @@ impl Matchline {
         // Span on the miss path only; see `Decoder::foms`.
         MAX_CELLS.get_or_insert_with(
             (
-                config.quantized(),
+                config.key_words(),
                 tech.memo_key(),
                 required_mismatches,
-                quantize(sa.min_resolvable),
+                f64_key(sa.min_resolvable),
             ),
             || {
                 let _span = xlda_obs::span!("circuit.matchline");

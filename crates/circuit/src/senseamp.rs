@@ -8,7 +8,7 @@
 
 use crate::error::CircuitError;
 use crate::tech::TechNode;
-use xlda_num::memo::quantize;
+use xlda_num::memo::f64_key;
 use xlda_num::memo_cache;
 
 memo_cache!(
@@ -112,8 +112,8 @@ impl SenseAmp {
         SENSE_ENERGY.get_or_insert_with(
             (
                 self.kind,
-                quantize(self.min_resolvable),
-                quantize(self.input_cap),
+                f64_key(self.min_resolvable),
+                f64_key(self.input_cap),
                 self.tech.memo_key(),
             ),
             || self.compute_energy(),

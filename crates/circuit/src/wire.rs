@@ -7,7 +7,7 @@
 
 use crate::gate::BufferChain;
 use crate::tech::TechNode;
-use xlda_num::memo::quantize;
+use xlda_num::memo::f64_key;
 use xlda_num::memo_cache;
 
 memo_cache!(
@@ -100,7 +100,7 @@ impl RepeatedWire {
         // triage grid takes ~1000 misses). Wire time lands in the calling
         // layer's self time instead.
         REPEATED_WIRE.get_or_insert_with(
-            (quantize(length_m), quantize(seg_len_m), tech.memo_key()),
+            (f64_key(length_m), f64_key(seg_len_m), tech.memo_key()),
             || Self::new_uncached(length_m, seg_len_m, tech),
         )
     }

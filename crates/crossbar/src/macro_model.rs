@@ -5,7 +5,7 @@ use crate::CrossbarConfig;
 use xlda_circuit::adc::{RowDac, SarAdc};
 use xlda_circuit::tech::TechNode;
 use xlda_circuit::wire::Wire;
-use xlda_num::memo::quantize;
+use xlda_num::memo::f64_key;
 use xlda_num::memo_cache;
 
 /// Memoized figure-of-merit bundle of one macro geometry. Design-space
@@ -141,7 +141,7 @@ impl CrossbarMacro {
                 (self.config.rows, self.config.cols, self.adc_share),
                 (self.config.dac_bits, self.config.adc_bits),
                 self.config.device.memo_key(),
-                quantize(self.config.v_read),
+                f64_key(self.config.v_read),
                 self.tech.memo_key(),
             ),
             || MacroFoms {

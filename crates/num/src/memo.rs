@@ -9,33 +9,28 @@
 //! - [`ShardedCache`]: a concurrent hash map split into shards so sweep
 //!   workers on different keys do not serialize on one lock, with atomic
 //!   hit/miss counters;
-//! - [`quantize`]: the cache-key quantization policy for `f64` model
-//!   parameters (see below);
+//! - [`f64_key`]: the cache-key policy for `f64` model parameters (see
+//!   below);
 //! - a process-global registry ([`snapshot`], [`clear_all`],
 //!   [`set_enabled`]) so the sweep engine can report per-cache hit rates
 //!   and tests can compare memoized against memo-free evaluations.
 //!
-//! # Key quantization policy
+//! # Key policy
 //!
-//! Floating-point cache keys are the bit patterns of the parameters
-//! rounded to [`SIG_BITS`] significant mantissa bits (round to nearest),
-//! with `-0.0` canonicalized to `+0.0` and all NaNs collapsed to one
-//! key. At 44 significant bits the rounding step is ~6e-14 relative —
-//! far below the spacing of any physically meaningful parameter grid, so
-//! two *distinct* sweep parameters never collide in practice, while the
-//! same parameter always produces the same key no matter which sweep
-//! point derived it. Cached values are the exact `f64` results of the
-//! first evaluation, which is what makes memoized sweeps bit-identical
-//! to memo-free ones (see `tests/cache_transparency.rs`).
+//! Floating-point cache keys are the exact bit patterns of the
+//! parameters, with only `-0.0` canonicalized to `+0.0` and all NaNs
+//! collapsed to one key. Two inputs share an entry only when they are the
+//! same number, so a cached value is exactly what a fresh evaluation of
+//! that input returns: memoized sweeps are bit-identical to memo-free
+//! ones (see `tests/cache_transparency.rs`), and a point's answer does
+//! not depend on what the process evaluated before it (see
+//! `tests/memo_order_independence.rs`).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
-
-/// Number of significant mantissa bits kept by [`quantize`].
-pub const SIG_BITS: u32 = 44;
 
 /// Shards per cache: enough that workers rarely contend on one lock,
 /// few enough that `len`/`clear` sweeps stay cheap.
@@ -79,23 +74,17 @@ pub fn totals() -> (u64, u64) {
     )
 }
 
-/// Quantizes an `f64` model parameter into a cache-key word under the
-/// module's quantization policy (see module docs).
-pub fn quantize(x: f64) -> u64 {
+/// The cache-key word of an `f64` model parameter: its exact bit
+/// pattern, with `-0.0` folded onto `+0.0` and every NaN onto one key
+/// (see module docs).
+pub fn f64_key(x: f64) -> u64 {
     if x.is_nan() {
-        return u64::MAX;
+        f64::NAN.to_bits()
+    } else if x == 0.0 {
+        0
+    } else {
+        x.to_bits()
     }
-    if x.is_infinite() {
-        // Distinct keys for the two infinities, away from finite space.
-        return u64::MAX - if x > 0.0 { 1 } else { 2 };
-    }
-    let x = if x == 0.0 { 0.0 } else { x }; // -0.0 -> +0.0
-    let drop = 52 - SIG_BITS;
-    let half = 1u64 << (drop - 1);
-    // Round-to-nearest in the dropped mantissa bits. A carry out of the
-    // mantissa correctly rolls into the exponent (next binade); the sign
-    // bit is untouched because finite exponents never overflow into it.
-    (x.to_bits().wrapping_add(half)) & !((1u64 << drop) - 1)
 }
 
 /// Hit/miss counters for one cache.
@@ -312,22 +301,22 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn quantize_is_stable_and_canonical() {
-        assert_eq!(quantize(1.0), quantize(1.0));
-        assert_eq!(quantize(0.0), quantize(-0.0));
-        assert_eq!(quantize(f64::NAN), quantize(-f64::NAN));
-        assert_ne!(quantize(f64::INFINITY), quantize(f64::NEG_INFINITY));
-        assert_ne!(quantize(1.0), quantize(2.0));
-        assert_ne!(quantize(1.0), quantize(-1.0));
+    fn f64_key_is_stable_and_canonical() {
+        assert_eq!(f64_key(1.0), f64_key(1.0));
+        assert_eq!(f64_key(0.0), f64_key(-0.0));
+        assert_eq!(f64_key(f64::NAN), f64_key(-f64::NAN));
+        assert_ne!(f64_key(f64::INFINITY), f64_key(f64::NEG_INFINITY));
+        assert_ne!(f64_key(1.0), f64_key(2.0));
+        assert_ne!(f64_key(1.0), f64_key(-1.0));
     }
 
     #[test]
-    fn quantize_merges_only_sub_grid_noise() {
-        // Differences far below any parameter-grid spacing collapse...
-        assert_eq!(quantize(1.0), quantize(1.0 + 1e-15));
-        // ...but distinguishable model parameters never do.
-        assert_ne!(quantize(1.0), quantize(1.0 + 1e-9));
-        assert_ne!(quantize(1e-15), quantize(1.001e-15));
+    fn keys_one_ulp_apart_differ() {
+        for x in [1.0, 1e-15, 4.425966944192826e-6, 3.0e8, f64::MIN_POSITIVE] {
+            let up = f64::from_bits(x.to_bits() + 1);
+            assert_ne!(f64_key(x), f64_key(up), "{x:e}");
+            assert_ne!(f64_key(-x), f64_key(-up), "{x:e}");
+        }
     }
 
     #[test]
