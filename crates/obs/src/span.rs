@@ -23,8 +23,11 @@
 //! `self_nanos` over all spans equals the total time spent inside any span.
 //!
 //! The guard only pops what it pushed: toggling the switch while spans are
-//! open cannot unbalance the stack (spans entered while disabled are inert
-//! for their whole lifetime).
+//! open cannot unbalance the stack. A span is recorded only when collection
+//! is on both when it opens and when it closes: spans entered while
+//! disabled are inert for their whole lifetime, and a span still open when
+//! collection is switched off is dropped, so a disabled window records
+//! nothing even while other threads finish spans they began earlier.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -235,6 +238,9 @@ impl Drop for SpanGuard {
             }
             child
         });
+        if !enabled() {
+            return;
+        }
         let self_nanos = elapsed.saturating_sub(child_nanos);
         active
             .stat
@@ -332,6 +338,19 @@ mod tests {
         }
         set_enabled(false);
         drop(inert);
+        STACK.with(|s| assert_eq!(s.depth.get(), 0));
+    }
+
+    #[test]
+    fn span_closing_after_disable_is_not_recorded() {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_enabled(true);
+        let open = span!("test.closes_disabled");
+        set_enabled(false);
+        let before = aggregate_snapshot();
+        drop(open);
+        let diff = diff_aggregates(&before, &aggregate_snapshot());
+        assert!(diff.iter().all(|a| a.name != "test.closes_disabled"));
         STACK.with(|s| assert_eq!(s.depth.get(), 0));
     }
 
