@@ -40,3 +40,9 @@ pub use flight::{CompletedTrace, FlightRecorder, FlightStats, RequestTrace, Stag
 pub use metrics::{Counter, Exemplars, Histogram, HistogramSnapshot, Registry};
 pub use span::{aggregate_snapshot, enabled, reset_aggregates, set_enabled, SpanAgg, SpanGuard};
 pub use trace::SpanEvent;
+
+/// Serializes the tests that toggle the process-global span switch. The
+/// span and trace tests share one lock: a sibling's `set_enabled(false)`
+/// in the middle of a test would drop that test's spans.
+#[cfg(test)]
+pub(crate) static SPAN_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -17,10 +17,18 @@
 //! names is small and fixed by the instrumentation). When the global switch is
 //! off, entering a span is one relaxed atomic load and returns an inert guard.
 //! When on, the guard pushes a frame on a thread-local stack; on drop it
-//! accumulates elapsed time into the stat, subtracts time attributed to child
-//! spans to produce *self* time, and credits its elapsed time to the parent
-//! frame. Self times therefore partition wall time per thread: summing
-//! `self_nanos` over all spans equals the total time spent inside any span.
+//! accumulates elapsed time into the recording thread's own aggregate block,
+//! subtracts time attributed to child spans to produce *self* time, and
+//! credits its elapsed time to the parent frame. Self times therefore
+//! partition wall time per thread: summing `self_nanos` over all spans equals
+//! the total time spent inside any span.
+//!
+//! Aggregates are per thread so that a span drop writes no shared cache
+//! line: each thread owns one slot per span site and updates it with plain
+//! relaxed loads and stores. When a thread exits, its block is folded into
+//! each site's retired totals under the registry lock, the same lock every
+//! snapshot holds, so a snapshot counts every span exactly once and the set
+//! of live blocks stays bounded by the number of live threads.
 //!
 //! The guard only pops what it pushed: toggling the switch while spans are
 //! open cannot unbalance the stack. A span is recorded only when collection
@@ -31,7 +39,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::{clock, trace};
 
@@ -52,12 +60,48 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Per-name aggregate accumulator. One per distinct span name, process-wide.
+/// Total nanos, self nanos and calls of one span site.
+#[derive(Default)]
+struct Counts([AtomicU64; 3]);
+
+impl Counts {
+    fn load(&self) -> [u64; 3] {
+        self.0.each_ref().map(|c| c.load(Ordering::Relaxed))
+    }
+
+    /// Adds from any thread.
+    fn add_shared(&self, add: [u64; 3]) {
+        for (c, a) in self.0.iter().zip(add) {
+            c.fetch_add(a, Ordering::Relaxed);
+        }
+    }
+
+    /// Adds from the one thread that owns these counts: a plain load and
+    /// store each, no read-modify-write.
+    fn add_owned(&self, add: [u64; 3]) {
+        for (c, a) in self.0.iter().zip(add) {
+            c.store(c.load(Ordering::Relaxed).wrapping_add(a), Ordering::Relaxed);
+        }
+    }
+
+    fn store(&self, value: [u64; 3]) {
+        for (c, v) in self.0.iter().zip(value) {
+            c.store(v, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Per-name aggregate site. One per distinct span name, process-wide.
 pub struct SpanStat {
     name: &'static str,
-    total_nanos: AtomicU64,
-    self_nanos: AtomicU64,
-    calls: AtomicU64,
+    /// This site's slot in every thread's [`ThreadBlock`].
+    slot: usize,
+    /// Counts of exited threads, plus spans recorded where no thread block
+    /// was available.
+    retired: Counts,
+    /// Counts at the last [`reset_aggregates`]; written under the registry
+    /// lock.
+    baseline: Counts,
 }
 
 /// Read-only copy of one span's aggregates.
@@ -71,37 +115,119 @@ pub struct SpanAgg {
     pub calls: u64,
 }
 
-static SITES: Mutex<Vec<&'static SpanStat>> = Mutex::new(Vec::new());
+/// Span sites with a slot in every thread block; sites registered past
+/// this many record into their shared retired counts instead.
+const MAX_SITES: usize = 64;
+
+/// One thread's aggregates, one slot per span site. Only the owning
+/// thread writes it.
+struct ThreadBlock([Counts; MAX_SITES]);
+
+struct Registry {
+    sites: Vec<&'static SpanStat>,
+    /// Blocks of threads that have recorded a span and not yet exited.
+    live: Vec<Arc<ThreadBlock>>,
+}
+
+static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
+    sites: Vec::new(),
+    live: Vec::new(),
+});
+
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl Registry {
+    /// Retired plus live counts of `site`, since process start.
+    fn current(&self, site: &SpanStat) -> [u64; 3] {
+        let mut c = site.retired.load();
+        if site.slot < MAX_SITES {
+            for block in &self.live {
+                for (sum, v) in c.iter_mut().zip(block.0[site.slot].load()) {
+                    *sum = sum.wrapping_add(v);
+                }
+            }
+        }
+        c
+    }
+}
+
+/// The calling thread's registered block; folded into the retired totals
+/// when the thread exits.
+struct BlockHandle(Arc<ThreadBlock>);
+
+impl BlockHandle {
+    fn register() -> Self {
+        let block = Arc::new(ThreadBlock(std::array::from_fn(|_| Counts::default())));
+        registry().live.push(Arc::clone(&block));
+        Self(block)
+    }
+}
+
+impl Drop for BlockHandle {
+    fn drop(&mut self) {
+        let mut reg = registry();
+        for site in reg.sites.iter().filter(|s| s.slot < MAX_SITES) {
+            site.retired.add_shared(self.0 .0[site.slot].load());
+        }
+        reg.live.retain(|b| !Arc::ptr_eq(b, &self.0));
+    }
+}
+
+thread_local! {
+    static BLOCK: BlockHandle = BlockHandle::register();
+}
+
+/// Credits one finished span to its site: into the calling thread's block,
+/// or straight into the shared retired counts when the thread has no
+/// block (its thread-locals are being torn down) or the site has no slot.
+fn record(stat: &'static SpanStat, counts: [u64; 3]) {
+    if stat.slot < MAX_SITES
+        && BLOCK
+            .try_with(|b| b.0 .0[stat.slot].add_owned(counts))
+            .is_ok()
+    {
+        return;
+    }
+    stat.retired.add_shared(counts);
+}
 
 /// Intern a span name, returning its process-global accumulator.
 ///
 /// Stats are leaked intentionally: span names come from `span!` call sites,
 /// so the set is bounded by the instrumentation, not by input.
 pub fn register_site(name: &'static str) -> &'static SpanStat {
-    let mut sites = SITES.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(s) = sites.iter().find(|s| s.name == name) {
+    let mut reg = registry();
+    if let Some(s) = reg.sites.iter().find(|s| s.name == name) {
         return s;
     }
     let stat: &'static SpanStat = Box::leak(Box::new(SpanStat {
         name,
-        total_nanos: AtomicU64::new(0),
-        self_nanos: AtomicU64::new(0),
-        calls: AtomicU64::new(0),
+        slot: reg.sites.len(),
+        retired: Counts::default(),
+        baseline: Counts::default(),
     }));
-    sites.push(stat);
+    reg.sites.push(stat);
     stat
 }
 
-/// Snapshot all span aggregates, sorted by name.
+/// Snapshot all span aggregates since the last [`reset_aggregates`], sorted
+/// by name.
 pub fn aggregate_snapshot() -> Vec<SpanAgg> {
-    let sites = SITES.lock().unwrap_or_else(|e| e.into_inner());
-    let mut out: Vec<SpanAgg> = sites
+    let reg = registry();
+    let mut out: Vec<SpanAgg> = reg
+        .sites
         .iter()
-        .map(|s| SpanAgg {
-            name: s.name,
-            total_nanos: s.total_nanos.load(Ordering::Relaxed),
-            self_nanos: s.self_nanos.load(Ordering::Relaxed),
-            calls: s.calls.load(Ordering::Relaxed),
+        .map(|s| {
+            let c = reg.current(s);
+            let base = s.baseline.load();
+            SpanAgg {
+                name: s.name,
+                total_nanos: c[0].saturating_sub(base[0]),
+                self_nanos: c[1].saturating_sub(base[1]),
+                calls: c[2].saturating_sub(base[2]),
+            }
         })
         .collect();
     out.sort_by(|a, b| a.name.cmp(b.name));
@@ -109,12 +235,13 @@ pub fn aggregate_snapshot() -> Vec<SpanAgg> {
 }
 
 /// Zero every span aggregate (names stay registered).
+///
+/// Threads keep their own counts running; the reset records the current
+/// totals as the baseline that snapshots subtract.
 pub fn reset_aggregates() {
-    let sites = SITES.lock().unwrap_or_else(|e| e.into_inner());
-    for s in sites.iter() {
-        s.total_nanos.store(0, Ordering::Relaxed);
-        s.self_nanos.store(0, Ordering::Relaxed);
-        s.calls.store(0, Ordering::Relaxed);
+    let reg = registry();
+    for s in &reg.sites {
+        s.baseline.store(reg.current(s));
     }
 }
 
@@ -180,20 +307,7 @@ impl SpanGuard {
         if !enabled() {
             return SpanGuard { inner: None };
         }
-        Self::enter_stat(site.get_or_init(|| register_site(name)))
-    }
-
-    /// Enter a span by name, paying a registry lookup per call. Exists for
-    /// the deprecated `layer_timed` shim; new code should use `span!`.
-    #[inline]
-    pub fn enter_named(name: &'static str) -> SpanGuard {
-        if !enabled() {
-            return SpanGuard { inner: None };
-        }
-        Self::enter_stat(register_site(name))
-    }
-
-    fn enter_stat(stat: &'static SpanStat) -> SpanGuard {
+        let stat = *site.get_or_init(|| register_site(name));
         let depth = STACK.with(|s| {
             let d = s.depth.get();
             if d < MAX_DEPTH {
@@ -241,16 +355,10 @@ impl Drop for SpanGuard {
         if !enabled() {
             return;
         }
-        let self_nanos = elapsed.saturating_sub(child_nanos);
-        active
-            .stat
-            .total_nanos
-            .fetch_add(elapsed, Ordering::Relaxed);
-        active
-            .stat
-            .self_nanos
-            .fetch_add(self_nanos, Ordering::Relaxed);
-        active.stat.calls.fetch_add(1, Ordering::Relaxed);
+        record(
+            active.stat,
+            [elapsed, elapsed.saturating_sub(child_nanos), 1],
+        );
         if trace::active() {
             trace::record(active.stat.name, active.start_ticks, elapsed, active.depth);
         }
@@ -273,12 +381,7 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
     use std::time::Duration;
-
-    // Span enablement is process-global and tests run in parallel; serialize
-    // everything that toggles it.
-    static LOCK: StdMutex<()> = StdMutex::new(());
 
     fn window<F: FnOnce()>(f: F) -> Vec<SpanAgg> {
         let before = aggregate_snapshot();
@@ -290,7 +393,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         let before = aggregate_snapshot();
         {
@@ -303,7 +406,7 @@ mod tests {
 
     #[test]
     fn nesting_attributes_self_time_to_the_right_span() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let diff = window(|| {
             let _outer = span!("test.outer");
             std::thread::sleep(Duration::from_millis(4));
@@ -328,7 +431,7 @@ mod tests {
 
     #[test]
     fn toggling_mid_span_keeps_the_stack_balanced() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         let inert = span!("test.toggle_outer");
         set_enabled(true);
@@ -343,7 +446,7 @@ mod tests {
 
     #[test]
     fn span_closing_after_disable_is_not_recorded() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         let open = span!("test.closes_disabled");
         set_enabled(false);
@@ -356,7 +459,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes_aggregates() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         window(|| {
             let _s = span!("test.reset");
         });
@@ -364,5 +467,62 @@ mod tests {
         let snap = aggregate_snapshot();
         let agg = snap.iter().find(|a| a.name == "test.reset").unwrap();
         assert_eq!((agg.calls, agg.total_nanos, agg.self_nanos), (0, 0, 0));
+    }
+
+    #[test]
+    fn spans_of_exited_threads_count_exactly_once_and_reset() {
+        let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let calls = |snap: &[SpanAgg]| {
+            snap.iter()
+                .find(|a| a.name == "test.scoped")
+                .map_or(0, |a| a.calls)
+        };
+        let before = calls(&aggregate_snapshot());
+        set_enabled(true);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        for _ in 0..25 {
+                            let _s = span!("test.scoped");
+                        }
+                    })
+                })
+                .collect();
+            // Joining waits for each thread's exit, thread-local teardown
+            // included, so every block has been folded before the snapshot.
+            for w in workers {
+                w.join().unwrap();
+            }
+        });
+        set_enabled(false);
+        assert_eq!(calls(&aggregate_snapshot()) - before, 100);
+        assert_eq!(calls(&aggregate_snapshot()) - before, 100, "stable");
+        reset_aggregates();
+        let snap = aggregate_snapshot();
+        let agg = snap.iter().find(|a| a.name == "test.scoped").unwrap();
+        assert_eq!((agg.calls, agg.total_nanos, agg.self_nanos), (0, 0, 0));
+    }
+
+    #[test]
+    fn live_thread_counts_survive_a_reset_as_a_baseline() {
+        let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        window(|| {
+            let _s = span!("test.live_reset");
+        });
+        reset_aggregates();
+        let diff = window(|| {
+            let _s = span!("test.live_reset");
+        });
+        let snap = aggregate_snapshot();
+        let agg = snap.iter().find(|a| a.name == "test.live_reset").unwrap();
+        assert_eq!(agg.calls, 1);
+        assert_eq!(
+            diff.iter()
+                .find(|a| a.name == "test.live_reset")
+                .unwrap()
+                .calls,
+            1
+        );
     }
 }

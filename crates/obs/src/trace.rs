@@ -143,13 +143,10 @@ pub fn thread_events_since(mark: usize) -> Vec<SpanEvent> {
 mod tests {
     use super::*;
     use crate::span::{self, set_enabled};
-    use std::sync::Mutex as StdMutex;
-
-    static LOCK: StdMutex<()> = StdMutex::new(());
 
     #[test]
     fn start_stop_captures_events_across_threads() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         start();
         set_enabled(true);
         {
@@ -186,7 +183,7 @@ mod tests {
 
     #[test]
     fn watermark_scopes_per_point_capture() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         start();
         set_enabled(true);
         {
@@ -212,7 +209,7 @@ mod tests {
 
     #[test]
     fn inactive_trace_records_nothing() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Not started: spans aggregate but do not produce events.
         set_enabled(true);
         let mark = thread_watermark();
