@@ -31,7 +31,7 @@ use crate::store::{Digest, DigestWriter};
 use crate::sweep::{par_try_map_with, PointFailure, SweepOptions};
 use xlda_baseline::{HybridPipeline, Kernel, Platform};
 use xlda_circuit::tech::TechNode;
-use xlda_crossbar::macro_model::CrossbarMacro;
+use xlda_crossbar::macro_model::{CrossbarMacro, MvmCost};
 use xlda_crossbar::CrossbarConfig;
 use xlda_evacam::{CamArray, CamCellDesign, CamConfig, DataKind, MatchKind};
 use xlda_num::batch::{CandidateBatch, PointStatus};
@@ -224,39 +224,45 @@ fn hdc_on_platform(s: &HdcScenario, platform: &Platform, batch: usize, hv: usize
     (t, e)
 }
 
-/// Latency/energy/area of HDC inference on a crossbar encoder plus a CAM
-/// associative memory.
+/// The HDC encoder's 256×256 crossbar macro: the cost of one MVM on one
+/// tile and one tile's area (m²). Every CAM design point of a scenario
+/// shares it.
 ///
 /// # Errors
 ///
-/// Propagates the crossbar or CAM model's rejection of the design point
-/// (e.g. an unachievable sense margin for long best-match words).
-fn hdc_on_cam(
-    s: &HdcScenario,
-    design: CamCellDesign,
-    data: DataKind,
-    hv: usize,
-) -> Result<(f64, f64, f64), XldaError> {
-    // Encoding: random-projection MVM on analog crossbar tiles.
+/// Propagates the crossbar model's rejection of the node.
+fn hdc_encoder(s: &HdcScenario) -> Result<(MvmCost, f64), XldaError> {
+    let _span = xlda_obs::span!("crossbar");
     let xbar_cfg = CrossbarConfig {
         rows: 256,
         cols: 256,
         ..CrossbarConfig::default()
     };
-    let (t_encode, e_encode, a_encode) = {
-        let _span = xlda_obs::span!("crossbar");
-        let xmacro = CrossbarMacro::try_new(&xbar_cfg, &s.tech, 8)?;
-        let tiles_rows = s.dim_in.div_ceil(256);
-        let tiles_cols = hv.div_ceil(256);
-        let mvm = xmacro.mvm_cost();
-        // Column tiles run in parallel macros; row tiles accumulate
-        // serially.
-        (
-            tiles_rows as f64 * mvm.latency_s,
-            (tiles_rows * tiles_cols) as f64 * mvm.energy_j,
-            (tiles_rows * tiles_cols) as f64 * xmacro.area_m2() * 1e6, // mm²
-        )
-    };
+    let xmacro = CrossbarMacro::try_new(&xbar_cfg, &s.tech, 8)?;
+    Ok((xmacro.mvm_cost(), xmacro.area_m2()))
+}
+
+/// Latency/energy/area of HDC inference on a crossbar encoder (see
+/// [`hdc_encoder`]) plus a CAM associative memory.
+///
+/// # Errors
+///
+/// Propagates the CAM model's rejection of the design point (e.g. an
+/// unachievable sense margin for long best-match words).
+fn hdc_on_cam(
+    s: &HdcScenario,
+    (mvm, tile_area_m2): (MvmCost, f64),
+    design: CamCellDesign,
+    data: DataKind,
+    hv: usize,
+) -> Result<(f64, f64, f64), XldaError> {
+    // Encoding: random-projection MVM on analog crossbar tiles. Column
+    // tiles run in parallel macros; row tiles accumulate serially.
+    let tiles_rows = s.dim_in.div_ceil(256);
+    let tiles_cols = hv.div_ceil(256);
+    let t_encode = tiles_rows as f64 * mvm.latency_s;
+    let e_encode = (tiles_rows * tiles_cols) as f64 * mvm.energy_j;
+    let a_encode = (tiles_rows * tiles_cols) as f64 * tile_area_m2 * 1e6; // mm²
 
     // Search: one CAM holding `classes` words of `hv` cells.
     let bits = data.bits_per_cell() as usize;
@@ -356,6 +362,7 @@ impl Scenario for HdcScenario {
             )?,
         ));
 
+        let encoder = hdc_encoder(s)?;
         for (name, design, data, hv, acc) in [
             (
                 "3b FeFET CAM",
@@ -379,7 +386,7 @@ impl Scenario for HdcScenario {
                 s.acc_1b,
             ),
         ] {
-            let (t, e, a) = hdc_on_cam(s, design, data, hv)?;
+            let (t, e, a) = hdc_on_cam(s, encoder, design, data, hv)?;
             out.push(Candidate::new(
                 name,
                 validate_fom(
@@ -575,6 +582,7 @@ impl Scenario for EdgeScenario {
         }
         let (t, e, a) = hdc_on_cam(
             s,
+            hdc_encoder(s)?,
             CamCellDesign::Fefet2T,
             DataKind::MultiBit(3),
             s.hv_dim_3b,
