@@ -307,6 +307,7 @@ mod tests {
 
     #[test]
     fn interleaved_pairs_agree_bit_for_bit() {
+        let _guard = crate::MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // A tiny run: the checksum-parity half of the gate must hold
         // under test (the overhead half needs a quiet machine, so the
         // threshold itself is only enforced in the CI job).

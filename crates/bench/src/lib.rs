@@ -47,6 +47,13 @@ pub mod sweep_bench;
 
 use xlda_datagen::ClassificationSpec;
 
+/// Serializes the tests that run workloads against the process-global
+/// memo and span state. Measurements toggle `memo::set_enabled` and
+/// `clear_all`; a sibling's memo-off window covering another test's warm
+/// phase would starve that phase of hits.
+#[cfg(test)]
+pub(crate) static MEMO_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// The "hard" ISOLET-like dataset used by the Fig. 3 accuracy sweeps.
 ///
 /// The stock preset is nearly saturating; raising the intra-class noise

@@ -816,6 +816,7 @@ mod tests {
 
     #[test]
     fn quick_loadgen_round_trip() {
+        let _guard = crate::MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // A very short in-process run: parity must hold and the warm
         // phase must see cache hits.
         let config = LoadgenConfig {

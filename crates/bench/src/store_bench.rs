@@ -506,9 +506,7 @@ pub fn print_store_smoke(r: &StoreSmokeReport) {
 mod tests {
     use super::*;
 
-    /// Store-arm measurements clear the process-global memo caches;
-    /// serialize with the sweep-bench tests that toggle the same state.
-    static MEMO_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use crate::MEMO_LOCK;
 
     fn tmp(tag: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();

@@ -808,10 +808,7 @@ pub fn print_obs_overhead(o: &ObsOverhead) {
 mod tests {
     use super::*;
 
-    /// Serializes tests that run workloads: each measurement toggles the
-    /// process-global memo and span switches, which must not race a
-    /// concurrent test.
-    static MEMO_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    use crate::MEMO_LOCK;
 
     #[test]
     fn triage_smoke_is_transparent_and_faster() {
