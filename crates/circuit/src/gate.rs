@@ -6,8 +6,6 @@
 //! technology's FO1 inverter delay.
 
 use crate::tech::TechNode;
-use xlda_num::memo::f64_key;
-use xlda_num::memo_cache;
 
 /// Static CMOS gate families with their logical effort and parasitic delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,8 +132,6 @@ pub struct BufferChain {
     c_load: f64,
 }
 
-memo_cache!(static CHAIN_SIZING: (u64, u64, u64) => BufferChain, "circuit.buffer_chain");
-
 impl BufferChain {
     /// Sizes a chain from input capacitance `c_in` to load `c_load`.
     ///
@@ -143,22 +139,14 @@ impl BufferChain {
     /// optimum of ~4. A chain driving a load smaller than its input is a
     /// single stage.
     ///
-    /// Driver sizing recurs identically across sweep points (every
-    /// wordline/searchline/repeater of the same geometry sizes the same
-    /// chain), so the result is memoized process-wide keyed by the
-    /// exact capacitances and the technology digest.
+    /// Not memoized: sizing is two `ln`, a `round` and a `powf`, cheaper
+    /// than a memo lookup.
     ///
     /// # Panics
     ///
     /// Panics if either capacitance is not positive.
     pub fn size_for(c_in: f64, c_load: f64, tech: &TechNode) -> Self {
         assert!(c_in > 0.0 && c_load > 0.0, "capacitances must be positive");
-        CHAIN_SIZING.get_or_insert_with((f64_key(c_in), f64_key(c_load), tech.memo_key()), || {
-            Self::size_for_uncached(c_in, c_load, tech)
-        })
-    }
-
-    fn size_for_uncached(c_in: f64, c_load: f64, tech: &TechNode) -> Self {
         let total_effort = (c_load / c_in).max(1.0);
         let stages = (total_effort.ln() / 4.0f64.ln()).round().max(1.0) as usize;
         let stage_effort = total_effort.powf(1.0 / stages as f64);
@@ -287,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn size_for_memoization_is_transparent() {
+    fn size_for_is_deterministic() {
         let t = tech();
         let a = BufferChain::size_for(2e-15, 150e-15, &t);
         let b = BufferChain::size_for(2e-15, 150e-15, &t);

@@ -212,7 +212,8 @@ impl Matchline {
         required_mismatches: usize,
         sa: &SenseAmp,
     ) -> Option<usize> {
-        // Span on the miss path only; see `Decoder::foms`.
+        // Span on the miss path only: a hit is one lookup, and a span on
+        // every lookup would cost a large part of it.
         MAX_CELLS.get_or_insert_with(
             (
                 config.key_words(),

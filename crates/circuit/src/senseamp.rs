@@ -8,13 +8,6 @@
 
 use crate::error::CircuitError;
 use crate::tech::TechNode;
-use xlda_num::memo::f64_key;
-use xlda_num::memo_cache;
-
-memo_cache!(
-    static SENSE_ENERGY: (SenseKind, u64, u64, u64) => f64,
-    "circuit.senseamp_energy"
-);
 
 /// Sensing style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,20 +100,8 @@ impl SenseAmp {
         input_diff >= self.min_resolvable
     }
 
-    /// Energy (J) per sense operation (memoized per amp geometry).
+    /// Energy (J) per sense operation.
     pub fn energy(&self) -> f64 {
-        SENSE_ENERGY.get_or_insert_with(
-            (
-                self.kind,
-                f64_key(self.min_resolvable),
-                f64_key(self.input_cap),
-                self.tech.memo_key(),
-            ),
-            || self.compute_energy(),
-        )
-    }
-
-    fn compute_energy(&self) -> f64 {
         // Latch internal nodes ~ 8 minimum gate caps swing to Vdd.
         let c_int = self.tech.gate_cap(8.0 * self.tech.min_width_um);
         let base = self.tech.switch_energy(c_int + self.input_cap);

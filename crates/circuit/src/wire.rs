@@ -7,13 +7,6 @@
 
 use crate::gate::BufferChain;
 use crate::tech::TechNode;
-use xlda_num::memo::f64_key;
-use xlda_num::memo_cache;
-
-memo_cache!(
-    static REPEATED_WIRE: (u64, u64, u64) => RepeatedWire,
-    "circuit.repeated_wire"
-);
 
 /// A straight wire segment in a given technology.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,9 +76,7 @@ impl RepeatedWire {
     /// Builds a repeated wire of total length `length_m`, splitting into
     /// segments of at most `seg_len_m`.
     ///
-    /// Global-route sizing recurs across sweep points sharing an
-    /// organization geometry, so the repeated-wire RC solution is
-    /// memoized per (length, segment length, technology).
+    /// Not memoized: a build costs about what a memo lookup does.
     ///
     /// # Panics
     ///
@@ -95,17 +86,9 @@ impl RepeatedWire {
             length_m > 0.0 && seg_len_m > 0.0,
             "lengths must be positive"
         );
-        // Deliberately unspanned: one wire build is ~200 ns, so even a
-        // miss-path span would cost a third of what it measures (and the
-        // triage grid takes ~1000 misses). Wire time lands in the calling
-        // layer's self time instead.
-        REPEATED_WIRE.get_or_insert_with(
-            (f64_key(length_m), f64_key(seg_len_m), tech.memo_key()),
-            || Self::new_uncached(length_m, seg_len_m, tech),
-        )
-    }
-
-    fn new_uncached(length_m: f64, seg_len_m: f64, tech: &TechNode) -> Self {
+        // Deliberately unspanned: one wire build is under 100 ns, so a
+        // span would cost most of what it measures. Wire time lands in
+        // the calling layer's self time instead.
         let segments = (length_m / seg_len_m).ceil().max(1.0) as usize;
         let segment = Wire::new(length_m / segments as f64, tech);
         let c_in = tech.gate_cap(3.0 * tech.min_width_um);

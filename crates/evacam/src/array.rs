@@ -195,7 +195,10 @@ impl CamArray {
 
     /// One full-array search latency (s).
     pub fn search_latency(&self) -> f64 {
-        let (wire, chain) = self.searchline();
+        self.search_latency_with(&self.searchline())
+    }
+
+    fn search_latency_with(&self, (wire, chain): &(Wire, BufferChain)) -> f64 {
         let t_sl = chain.delay() + wire.elmore_delay();
         let phases = self.config.design.sense_phases() as f64;
         let t_ml = phases * self.sense_time();
@@ -205,7 +208,10 @@ impl CamArray {
 
     /// One full-array search energy (J).
     pub fn search_energy(&self) -> f64 {
-        let (wire, chain) = self.searchline();
+        self.search_energy_with(&self.searchline())
+    }
+
+    fn search_energy_with(&self, (wire, chain): &(Wire, BufferChain)) -> f64 {
         let cols_total = self.segments * self.cols_per_segment;
         // Half the searchlines toggle per new query on average; each row
         // bank drives its own searchline segment.
@@ -222,32 +228,38 @@ impl CamArray {
         e_sl + e_ml + e_sa + self.encode_energy()
     }
 
+    /// Program-and-verify iterations per write: multi-bit cells iterate
+    /// more as the number of levels grows.
+    fn verify_iters(&self) -> f64 {
+        match self.config.data {
+            DataKind::MultiBit(b) => (1u32 << (b - 1)) as f64,
+            DataKind::Analog => 8.0,
+            _ => 1.0,
+        }
+    }
+
     /// Latency to write one word (s).
     ///
     /// Multi-bit cells use program-and-verify: the iteration count grows
     /// with the number of levels.
     pub fn write_latency(&self) -> f64 {
+        self.write_latency_with(&self.write_decoder())
+    }
+
+    fn write_latency_with(&self, decoder: &Decoder) -> f64 {
         let dev = self.config.design.device();
-        let decoder = self.write_decoder();
-        let verify_iters = match self.config.data {
-            DataKind::MultiBit(b) => (1u32 << (b - 1)) as f64,
-            DataKind::Analog => 8.0,
-            _ => 1.0,
-        };
-        decoder.delay() + verify_iters * dev.write_latency()
+        decoder.delay() + self.verify_iters() * dev.write_latency()
     }
 
     /// Energy to write one word (J).
     pub fn write_energy(&self) -> f64 {
+        self.write_energy_with(&self.write_decoder())
+    }
+
+    fn write_energy_with(&self, decoder: &Decoder) -> f64 {
         let dev = self.config.design.device();
-        let decoder = self.write_decoder();
-        let verify_iters = match self.config.data {
-            DataKind::MultiBit(b) => (1u32 << (b - 1)) as f64,
-            DataKind::Analog => 8.0,
-            _ => 1.0,
-        };
         let cells = self.segments * self.cols_per_segment;
-        decoder.energy() + verify_iters * cells as f64 * 2.0 * dev.write_energy()
+        decoder.energy() + self.verify_iters() * cells as f64 * 2.0 * dev.write_energy()
     }
 
     fn write_decoder(&self) -> Decoder {
@@ -261,6 +273,10 @@ impl CamArray {
 
     /// Static (leakage plus standing-current) power (W).
     pub fn leakage_power(&self) -> f64 {
+        self.leakage_power_with(&self.write_decoder())
+    }
+
+    fn leakage_power_with(&self, decoder: &Decoder) -> f64 {
         let tech = &self.config.tech;
         let cells = self.total_cells() as f64;
         let cell_leak = self.config.design.matchline_config().g_off
@@ -268,15 +284,18 @@ impl CamArray {
             * 0.1 // only precharged fraction leaks between searches
             + self.config.design.static_power_per_cell();
         let sa_leak = (self.config.words * self.segments) as f64 * self.sa.leakage_power();
-        cells * cell_leak + sa_leak + self.write_decoder().leakage_power()
+        cells * cell_leak + sa_leak + decoder.leakage_power()
     }
 
     /// Total silicon area (µm²).
     pub fn area_um2(&self) -> f64 {
+        self.area_um2_with(&self.searchline().1, &self.write_decoder())
+    }
+
+    fn area_um2_with(&self, chain: &BufferChain, decoder: &Decoder) -> f64 {
         let tech = &self.config.tech;
         let f2 = tech.f2_area_m2();
         let cells = self.total_cells() as f64 * self.config.design.cell_area_f2() * f2;
-        let (_, chain) = self.searchline();
         let cols_total = (self.segments * self.cols_per_segment) as f64;
         // Two (complementary) searchline drivers per cell column per bank.
         let drivers = 2.0 * cols_total * self.config.row_banks as f64 * chain.area();
@@ -286,21 +305,26 @@ impl CamArray {
             _ => 250.0 * self.segments as f64,
         };
         let encode = self.config.words as f64 * encode_f2 * f2;
-        let decoder = self.write_decoder().area();
-        let total_m2 = (cells + drivers + sas + encode + decoder) * 1.15; // routing
+        let total_m2 = (cells + drivers + sas + encode + decoder.area()) * 1.15; // routing
         total_m2 * 1e12
     }
 
     /// Full FOM report.
+    ///
+    /// Builds the searchline and the write decoder once and composes
+    /// every figure from them, with the expressions of the per-figure
+    /// methods, so each field equals its method bit for bit.
     pub fn report(&self) -> CamReport {
         let _span = xlda_obs::span!("evacam.report");
+        let searchline = self.searchline();
+        let decoder = self.write_decoder();
         CamReport {
-            area_um2: self.area_um2(),
-            search_latency_s: self.search_latency(),
-            search_energy_j: self.search_energy(),
-            write_latency_s: self.write_latency(),
-            write_energy_j: self.write_energy(),
-            leakage_w: self.leakage_power(),
+            area_um2: self.area_um2_with(&searchline.1, &decoder),
+            search_latency_s: self.search_latency_with(&searchline),
+            search_energy_j: self.search_energy_with(&searchline),
+            write_latency_s: self.write_latency_with(&decoder),
+            write_energy_j: self.write_energy_with(&decoder),
+            leakage_w: self.leakage_power_with(&decoder),
             segments: self.segments,
             cols_per_segment: self.cols_per_segment,
             mismatch_limit: self.mismatch_limit,

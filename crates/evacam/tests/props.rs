@@ -106,3 +106,72 @@ proptest! {
 fn config_cells(cam: &CamArray) -> usize {
     cam.config().cells_per_word()
 }
+
+/// Any design, data kind, match kind, word count, width and banking, at
+/// any of the seven nodes; configs the model rejects are kept, so the
+/// strategy itself never filters.
+fn arb_any_config() -> impl Strategy<Value = CamConfig> {
+    (
+        arb_design(),
+        prop::sample::select(TechNode::all()),
+        (0..4usize, 1u8..=4).prop_map(|(kind, bits)| match kind {
+            0 => DataKind::Binary,
+            1 => DataKind::Ternary,
+            2 => DataKind::MultiBit(bits),
+            _ => DataKind::Analog,
+        }),
+        (0..3usize, 0usize..=64).prop_map(|(kind, n)| match kind {
+            0 => MatchKind::Exact,
+            1 => MatchKind::Best { max_distance: n },
+            _ => MatchKind::Threshold { k: n },
+        }),
+        1usize..=8192,
+        1usize..=1024,
+        1usize..=8,
+    )
+        .prop_map(
+            |(design, tech, data, match_kind, words, bits, banks)| CamConfig {
+                words,
+                bits_per_word: bits,
+                design,
+                data,
+                match_kind,
+                row_banks: banks,
+                tech,
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `report` builds its searchline and write decoder once and shares
+    /// them; every figure must still equal its own method bit for bit.
+    #[test]
+    fn report_equals_the_per_fom_methods_bit_for_bit(config in arb_any_config()) {
+        let Ok(cam) = CamArray::new(config) else {
+            return Ok(());
+        };
+        let r = cam.report();
+        prop_assert_eq!(
+            [
+                r.area_um2,
+                r.search_latency_s,
+                r.search_energy_j,
+                r.write_latency_s,
+                r.write_energy_j,
+                r.leakage_w,
+            ]
+            .map(f64::to_bits),
+            [
+                cam.area_um2(),
+                cam.search_latency(),
+                cam.search_energy(),
+                cam.write_latency(),
+                cam.write_energy(),
+                cam.leakage_power(),
+            ]
+            .map(f64::to_bits)
+        );
+    }
+}
