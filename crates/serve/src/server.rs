@@ -817,10 +817,12 @@ fn run_one(shared: &Arc<Shared>, job: Job) {
 }
 
 /// Cache counters before/after one evaluation, for trace attribution.
-/// The counters are process-global, so under concurrent workers the
-/// delta can include a neighbour's lookups — attribution, not audit.
+/// The memo counts are the calling worker's own, so the delta counts
+/// exactly the lookups this evaluation made on this thread, whatever the
+/// other workers do; lookups on sweep workers a Monte-Carlo request fans
+/// out to are not in it. The store hits are process-wide.
 fn cache_marks(shared: &Shared) -> (u64, u64, u64) {
-    let (mh, mm) = memo::totals();
+    let (mh, mm) = memo::thread_totals();
     let sh = shared.store.as_ref().map_or(0, |s| s.stats().hits);
     (mh, mm, sh)
 }
