@@ -8,11 +8,11 @@
 //!   shared atomic cursor, so a slow region of the design space (e.g.
 //!   large capacities that organize slowly) cannot strand the other
 //!   workers the way one oversized pre-assigned chunk can;
-//! - **cross-point memoization**: the layer crates share sub-evaluations
-//!   (decoder FOMs, driver sizing, matchline limits, RAM organizations,
-//!   crossbar macros) through the sharded caches in [`memo`]
-//!   (re-exported here from `xlda_num`), and sweeps report their hit
-//!   rates;
+//! - **cross-point memoization**: the layer crates share the
+//!   sub-evaluations that cost more than a lookup (matchline limits, RAM
+//!   geometry tables, crossbar macros) through the sharded caches in
+//!   [`memo`] (re-exported here from `xlda_num`), and sweeps report their
+//!   hit rates;
 //! - **observability** ([`SweepStats`], [`sweep_with_stats`]): points/sec,
 //!   per-cache hit rates, a per-layer *self-time* breakdown built on
 //!   `xlda_obs` spans (enable with [`xlda_obs::span::set_enabled`]), and
@@ -157,9 +157,10 @@ impl SweepOptionsBuilder {
 }
 
 /// Core dispatch: evaluates `f` over `inputs` under `opts`, preserving
-/// input order. Workers pull chunk indices from a shared cursor, tag
-/// results with their chunk index, and the caller reassembles in index
-/// order — output order never depends on thread interleaving.
+/// input order. Workers, the calling thread among them, pull chunk
+/// indices from a shared cursor, tag results with their chunk index, and
+/// the caller reassembles in index order — output order never depends on
+/// thread interleaving.
 fn dispatch<I, O, F>(inputs: &[I], f: F, opts: &SweepOptions) -> Vec<O>
 where
     I: Sync,
@@ -177,29 +178,27 @@ where
     }
     let chunk = opts.resolve_chunk(inputs.len(), threads);
     let cursor = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let f = &f;
-            let cursor = &cursor;
-            handles.push(scope.spawn(move |_| {
-                let mut mine: Vec<(usize, Vec<O>)> = Vec::new();
-                loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    let lo = c * chunk;
-                    if lo >= inputs.len() {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(inputs.len());
-                    mine.push((c, inputs[lo..hi].iter().map(f).collect()));
-                }
-                mine
-            }));
+    let work = || {
+        let mut mine: Vec<(usize, Vec<O>)> = Vec::new();
+        loop {
+            let c = cursor.fetch_add(1, Ordering::Relaxed);
+            let lo = c * chunk;
+            if lo >= inputs.len() {
+                break;
+            }
+            let hi = (lo + chunk).min(inputs.len());
+            mine.push((c, inputs[lo..hi].iter().map(&f).collect()));
         }
-        let mut parts: Vec<(usize, Vec<O>)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect();
+        mine
+    };
+    crossbeam::thread::scope(|scope| {
+        // The caller is one of the workers: spawn the other `threads - 1`
+        // and claim chunks alongside them rather than block in `join`.
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(|_| work())).collect();
+        let mut parts = work();
+        for h in handles {
+            parts.extend(h.join().expect("sweep worker panicked"));
+        }
         parts.sort_unstable_by_key(|&(c, _)| c);
         parts.into_iter().flat_map(|(_, v)| v).collect()
     })
