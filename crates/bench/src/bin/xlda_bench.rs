@@ -67,6 +67,7 @@ use xlda_bench::flight_bench;
 use xlda_bench::loadgen::{self, LoadgenConfig};
 use xlda_bench::store_bench;
 use xlda_bench::sweep_bench::{self, Workload};
+use xlda_serve::json::Json;
 
 struct Args {
     smoke: bool,
@@ -399,11 +400,11 @@ fn main() -> ExitCode {
 
     // The store arms' invariants (bit-exact replay, hit rate 1.0) hold
     // regardless of a baseline; speedup floors need the baseline file.
-    failures.extend(store_bench::check_store_baseline(&store_arms, ""));
+    failures.extend(store_bench::check_store_baseline(&store_arms, &Json::Null));
 
     if let Some(path) = &args.baseline {
-        match std::fs::read_to_string(path) {
-            Ok(baseline) => {
+        match std::fs::read_to_string(path).map(|text| Json::parse(&text)) {
+            Ok(Ok(baseline)) => {
                 // The gate re-checks checksums; drop the duplicates above.
                 failures = sweep_bench::check_against_baseline(&results, &baseline, args.tolerance);
                 failures.extend(store_bench::check_store_baseline(&store_arms, &baseline));
@@ -414,6 +415,7 @@ fn main() -> ExitCode {
                     );
                 }
             }
+            Ok(Err(e)) => failures.push(format!("baseline {path} is not valid JSON: {e}")),
             Err(e) => failures.push(format!("cannot read baseline {path}: {e}")),
         }
     }

@@ -24,13 +24,13 @@ use std::path::Path;
 use std::time::Instant;
 
 use crate::sweep_bench::{
-    grid_hdc, grid_mann, grid_mc, push_json_f64, scan_after, scan_field, Workload, FNV_OFFSET,
-    FNV_PRIME,
+    grid_hdc, grid_mann, grid_mc, push_json_f64, workload_field, Workload, FNV_OFFSET, FNV_PRIME,
 };
 use xlda_core::evaluate::{Evaluation, Scenario};
 use xlda_core::store::{LoadReport, ResultStore};
 use xlda_core::sweep::memo;
 use xlda_core::triage::{rank, Objective};
+use xlda_serve::json::Json;
 
 /// Measurements of one regime (cold or restart-warm) over one workload.
 #[derive(Debug, Clone)]
@@ -263,8 +263,9 @@ pub(crate) fn push_store_arm(out: &mut String, a: &StoreArmResult) {
 
 /// Gates the store arms: bit-exact warm replay, hit rate exactly 1.0,
 /// and per-workload `store_min_warm_speedup` floors from the committed
-/// baseline (a ratio, so no machine tolerance applies).
-pub fn check_store_baseline(arms: &[StoreArmResult], baseline_json: &str) -> Vec<String> {
+/// baseline (a ratio, so no machine tolerance applies). With
+/// [`Json::Null`] for `baseline`, only the exact invariants are checked.
+pub fn check_store_baseline(arms: &[StoreArmResult], baseline: &Json) -> Vec<String> {
     let mut failures = Vec::new();
     for a in arms {
         if !a.checksum_match() {
@@ -273,8 +274,11 @@ pub fn check_store_baseline(arms: &[StoreArmResult], baseline_json: &str) -> Vec
                 a.name, a.cold.checksum, a.warm.checksum
             ));
         }
-        let min_hit_rate =
-            scan_after(baseline_json, "\"store\":", "min_warm_hit_rate").unwrap_or(1.0);
+        let min_hit_rate = baseline
+            .get("store")
+            .and_then(|s| s.get("min_warm_hit_rate"))
+            .and_then(Json::as_f64)
+            .unwrap_or(1.0);
         if a.warm_hit_rate() < min_hit_rate {
             failures.push(format!(
                 "store/{}: warm hit rate {:.4} below {:.4} ({} misses after restart)",
@@ -284,7 +288,7 @@ pub fn check_store_baseline(arms: &[StoreArmResult], baseline_json: &str) -> Vec
                 a.warm.misses
             ));
         }
-        if let Some(floor) = scan_field(baseline_json, a.name, "store_min_warm_speedup") {
+        if let Some(floor) = workload_field(baseline, a.name, "store_min_warm_speedup") {
             if a.warm_speedup() < floor {
                 failures.push(format!(
                     "store/{}: restart-warm speedup {:.2}x below required {:.2}x",
@@ -538,18 +542,38 @@ mod tests {
         let path = tmp("gate");
         let a = run_store_arm(Workload::Triage, true, &path);
         let json = crate::sweep_bench::to_json_with_store(&[], std::slice::from_ref(&a), true);
-        let speedup = scan_after(&json, "\"store_workload\":\"triage\"", "warm_speedup")
+        let report = Json::parse(&json).expect("report parses");
+        let arm = &report
+            .get("store_arms")
+            .and_then(Json::as_arr)
+            .expect("store_arms")[0];
+        assert_eq!(
+            arm.get("store_workload").and_then(Json::as_str),
+            Some("triage")
+        );
+        let speedup = arm
+            .get("warm_speedup")
+            .and_then(Json::as_f64)
             .expect("warm_speedup in report");
         assert!((speedup - a.warm_speedup()).abs() < 1e-3);
-        assert!(json.contains("\"checksum_match\":true"), "{json}");
-        // A satisfiable baseline passes; an impossible floor fails.
-        let ok = "{\"name\":\"triage\",\"store_min_warm_speedup\":0.001},\"store\":{\"min_warm_hit_rate\":1.0}";
         assert_eq!(
-            check_store_baseline(std::slice::from_ref(&a), ok),
+            arm.get("checksum_match").and_then(Json::as_bool),
+            Some(true)
+        );
+        // A satisfiable baseline passes; an impossible floor fails.
+        let ok = Json::parse(
+            "{\"workloads\":[{\"name\":\"triage\",\"store_min_warm_speedup\":0.001}],\
+             \"store\":{\"min_warm_hit_rate\":1.0}}",
+        )
+        .expect("parses");
+        assert_eq!(
+            check_store_baseline(std::slice::from_ref(&a), &ok),
             Vec::<String>::new()
         );
-        let bad = "{\"name\":\"triage\",\"store_min_warm_speedup\":1e9}";
-        let failures = check_store_baseline(std::slice::from_ref(&a), bad);
+        let bad =
+            Json::parse("{\"workloads\":[{\"name\":\"triage\",\"store_min_warm_speedup\":1e9}]}")
+                .expect("parses");
+        let failures = check_store_baseline(std::slice::from_ref(&a), &bad);
         assert!(
             failures.iter().any(|f| f.contains("speedup")),
             "{failures:?}"

@@ -1,8 +1,7 @@
 //! Minimal JSON value, parser, and emitter.
 //!
 //! The workspace's vendored-deps policy means `serde` resolves to a
-//! no-op shim, so the wire format is hand-rolled (precedent: the
-//! `sweep_bench` micro-parser in `xlda-bench`). This is a full
+//! no-op shim, so the wire format is hand-rolled. This is a full
 //! recursive-descent parser rather than a field scanner because the
 //! service must reject malformed requests with a useful error instead
 //! of misreading them.
