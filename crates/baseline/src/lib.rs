@@ -29,6 +29,8 @@
 //! assert!(t1000 < t1);
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 /// One compute kernel's resource demands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Kernel {

@@ -7,6 +7,7 @@
 //! aggregation errors that longer HVs can compensate.
 
 use crate::hard_isolet;
+use xlda_core::sweep::{par_map, SweepOptions};
 use xlda_device::fefet::Fefet;
 use xlda_hdc::cam::{Aggregation, CamAm, CamSearchConfig};
 use xlda_hdc::encode::{Encoder, EncoderConfig};
@@ -42,22 +43,26 @@ pub fn run(quick: bool) -> Vec<AggregationPoint> {
         });
         let model = HdcModel::train(&encoder, &data, 3, 1);
         // Grid points are independent: fan the subarray axis out.
-        out.extend(xlda_core::sweep::par_map(subarrays, |&sub| {
-            let cols = sub.min(hv_dim);
-            let config = CamSearchConfig {
-                bits_per_cell: 3,
-                subarray_cols: cols,
-                device: Fefet::silicon().with_sigma(0.0),
-                aggregation: Aggregation::SubarrayVote,
-                verify_tolerance: None,
-            };
-            let cam = CamAm::program(&model, &config, &mut Rng64::new(0x3f));
-            AggregationPoint {
-                hv_dim,
-                subarray: cols,
-                accuracy: cam.accuracy(&encoder, &data),
-            }
-        }));
+        out.extend(par_map(
+            subarrays,
+            |&sub| {
+                let cols = sub.min(hv_dim);
+                let config = CamSearchConfig {
+                    bits_per_cell: 3,
+                    subarray_cols: cols,
+                    device: Fefet::silicon().with_sigma(0.0),
+                    aggregation: Aggregation::SubarrayVote,
+                    verify_tolerance: None,
+                };
+                let cam = CamAm::program(&model, &config, &mut Rng64::new(0x3f));
+                AggregationPoint {
+                    hv_dim,
+                    subarray: cols,
+                    accuracy: cam.accuracy(&encoder, &data),
+                }
+            },
+            &SweepOptions::default(),
+        ));
     }
     out
 }

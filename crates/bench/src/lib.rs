@@ -25,6 +25,8 @@
 //! | `ablations`    | design-choice ablations (DESIGN.md §4) |
 //! | `extensions`   | the paper's proposed enhancements (Secs. VI-VII) |
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod ablations;
 pub mod extensions;
 pub mod fig3c;

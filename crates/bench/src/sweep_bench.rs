@@ -566,9 +566,8 @@ fn push_run(out: &mut String, r: &RunStats) {
 
 /// Renders the results as the `BENCH_sweep.json` trajectory document.
 ///
-/// Hand-rolled emission: the vendored `serde` is an offline API shim
-/// without derive-based serialization, so the report writes this fixed
-/// schema directly.
+/// Hand-rolled emission: the workspace has no serialization dependency,
+/// so the report writes this fixed schema directly.
 pub fn to_json(results: &[WorkloadResult], smoke: bool) -> String {
     to_json_with_store(results, &[], smoke)
 }

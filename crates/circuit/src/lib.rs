@@ -29,6 +29,8 @@
 //! assert!(ml.discharge_time(8) < ml.discharge_time(1));
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod adc;
 pub mod decoder;
 pub mod error;

@@ -17,7 +17,7 @@ use xlda_syssim::system::{AccelConfig, SystemConfig};
 use xlda_syssim::workload::Workload;
 
 /// The verdict Eva-CiM-style analysis renders for a program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Favorability {
     /// Large end-to-end gains: invest in IMC for this program.
     StronglyFavorable,
@@ -28,7 +28,7 @@ pub enum Favorability {
 }
 
 /// Full analysis result for one program.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CimAnalysis {
     /// Program name.
     pub workload: String,

@@ -28,7 +28,7 @@ use crate::error::{validate_fom, XldaError};
 use crate::fom::{Candidate, Fom};
 use crate::mc::McDistribution;
 use crate::store::{Digest, DigestWriter};
-use crate::sweep::{par_try_map_with, PointFailure, SweepOptions};
+use crate::sweep::{par_try_map, PointFailure, SweepOptions};
 use xlda_baseline::{HybridPipeline, Kernel, Platform};
 use xlda_circuit::tech::TechNode;
 use xlda_crossbar::macro_model::{CrossbarMacro, MvmCost};
@@ -743,12 +743,12 @@ impl Scenario for MannScenario {
 /// preserving input order, with per-point error/panic containment.
 ///
 /// Each point evaluates through [`Scenario::candidates`] on the
-/// work-stealing engine ([`par_try_map_with`]); a point that errors,
+/// work-stealing engine ([`par_try_map`]); a point that errors,
 /// panics, or is skipped by an expired [`SweepOptions::deadline`] is
 /// recorded with its [`PointStatus`] and message instead of lanes, so
 /// the rest of the grid still completes.
 pub fn sweep_scenarios<S: Scenario>(scenarios: &[S], opts: &SweepOptions) -> CandidateBatch {
-    let results = par_try_map_with(scenarios, |s| s.candidates(), opts);
+    let results = par_try_map(scenarios, |s| s.candidates(), opts);
     let mut out = CandidateBatch::new();
     for r in results {
         match r {

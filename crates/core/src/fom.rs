@@ -4,7 +4,7 @@
 ///
 /// Latency, energy, and area are "lower is better"; accuracy is "higher
 /// is better".
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fom {
     /// End-to-end latency per inference/query (s).
     pub latency_s: f64,
@@ -50,7 +50,7 @@ impl Fom {
 }
 
 /// A named, evaluated candidate.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Display name (e.g. "3b FeFET CAM").
     pub name: String,

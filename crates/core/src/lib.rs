@@ -43,6 +43,8 @@
 //! assert!(!ranking.is_empty());
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod cim;
 pub mod error;
 pub mod evaluate;

@@ -34,7 +34,7 @@ use crate::error::{validate_fom, XldaError};
 use crate::evaluate::{Evaluation, Scenario};
 use crate::fom::{Candidate, Fom};
 use crate::store::{Digest, DigestWriter};
-use crate::sweep::{par_try_map_with, PointFailure, SweepOptions};
+use crate::sweep::{par_try_map, PointFailure, SweepOptions};
 use xlda_circuit::matchline::MatchlineConfig;
 use xlda_device::mlc::{MultiLevelCell, StateVariable};
 use xlda_device::rram::Rram;
@@ -185,7 +185,7 @@ where
         deadline: None,
         ..*opts
     };
-    let per_batch = par_try_map_with(
+    let per_batch = par_try_map(
         &ranges,
         |&(start, len)| {
             let _span = xlda_obs::span!("mc.batch");

@@ -10,7 +10,7 @@
 use xlda_syssim::workload::Workload;
 
 /// Computational composition of a workload.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadProfile {
     /// Fraction of operations in dense MVM kernels.
     pub mvm_fraction: f64,
@@ -61,7 +61,7 @@ impl WorkloadProfile {
 }
 
 /// Architecture lanes of the Fig. 1 design space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArchRecommendation {
     /// Crossbar in-memory compute (MVM-dominated).
     CrossbarImc,
@@ -89,7 +89,7 @@ pub fn recommend(profile: &WorkloadProfile) -> ArchRecommendation {
 }
 
 /// Device metrics that top-down analysis can prioritize.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceMetric {
     /// Write endurance (cycles).
     Endurance,

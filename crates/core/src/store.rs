@@ -61,7 +61,7 @@ use crate::evaluate::{Evaluation, Scenario};
 use crate::fom::{Candidate, Fom};
 use crate::mc::McDistribution;
 use crate::order::desc_nan_last;
-use crate::sweep::{memo, par_try_map_with, PointFailure, SweepOptions};
+use crate::sweep::{memo, par_try_map, PointFailure, SweepOptions};
 use crate::triage::{rank, Objective};
 use xlda_num::trial::Summary;
 
@@ -747,7 +747,7 @@ impl ResultStore {
         scenarios: &[S],
         opts: &SweepOptions,
     ) -> Vec<Result<Evaluation, PointFailure<XldaError>>> {
-        par_try_map_with(scenarios, |s| self.evaluate_cached(s), opts)
+        par_try_map(scenarios, |s| self.evaluate_cached(s), opts)
     }
 
     /// Current counters.
@@ -812,16 +812,6 @@ pub fn attach(store: Arc<ResultStore>) {
         );
     });
     *GLOBAL.write().unwrap_or_else(|e| e.into_inner()) = Some(store);
-}
-
-/// Removes the process-global store (the registry probe reads zeros).
-pub fn detach() {
-    *GLOBAL.write().unwrap_or_else(|e| e.into_inner()) = None;
-}
-
-/// The process-global store, if one is attached.
-pub fn global() -> Option<Arc<ResultStore>> {
-    GLOBAL.read().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -920,7 +910,7 @@ pub fn successive_halving<S: Scenario + Sync>(
             .collect();
         if !todo.is_empty() {
             let batch: Vec<&S> = todo.iter().map(|&i| &scenarios[i]).collect();
-            let outs = par_try_map_with(&batch, |s| store.evaluate_cached(*s), opts);
+            let outs = par_try_map(&batch, |s| store.evaluate_cached(*s), opts);
             for (&i, out) in todo.iter().zip(outs) {
                 results[i] = Some(out);
             }

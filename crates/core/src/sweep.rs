@@ -14,23 +14,23 @@
 //!   [`memo`] (re-exported here from `xlda_num`), and sweeps report their
 //!   hit rates;
 //! - **observability** ([`SweepStats`], [`sweep_with_stats`]): points/sec,
-//!   per-cache hit rates, a per-layer *self-time* breakdown built on
-//!   `xlda_obs` spans (enable with [`xlda_obs::span::set_enabled`]), and
-//!   top-K slow-point capture with full span trees when tracing is on.
+//!   per-cache hit rates and a per-layer *self-time* breakdown built on
+//!   `xlda_obs` spans (enable with [`xlda_obs::span::set_enabled`]).
+//!
+//! There is one entry point per job, each taking [`SweepOptions`]:
+//! [`par_map`] for infallible evaluators, [`par_try_map`] for fallible
+//! ones and [`sweep_with_stats`] for a measured sweep.
 //!
 //! Output order is always input order, independent of which worker claimed
 //! which chunk: the engine tracks chunk indices and reassembles results
 //! deterministically.
 
-use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 pub use xlda_num::memo;
-pub use xlda_num::memo::{CacheSnapshot, ShardedCache};
+pub use xlda_num::memo::CacheSnapshot;
 pub use xlda_obs::span::SpanAgg;
-pub use xlda_obs::trace::SpanEvent;
 
 /// Target number of work-unit steals per worker when `chunk == 0`: the
 /// auto chunk is sized as `points / (threads * TARGET_STEALS_PER_WORKER)`
@@ -95,12 +95,12 @@ impl SweepOptions {
     }
 
     /// Wall-clock budget for the whole sweep, measured from the moment
-    /// the sweep entry point is called. Honored by the *fallible* paths
-    /// ([`par_try_map_with`]): points whose evaluation has not started
-    /// when the budget expires yield
-    /// [`PointFailure::DeadlineExceeded`] instead of being evaluated. The
-    /// infallible paths ignore it (a skipped point has no representable
-    /// outcome there). `None` (the default) never expires.
+    /// the sweep entry point is called. Honored by the *fallible* path
+    /// ([`par_try_map`]): points whose evaluation has not started when
+    /// the budget expires yield [`PointFailure::DeadlineExceeded`]
+    /// instead of being evaluated. The infallible paths ignore it (a
+    /// skipped point has no representable outcome there). `None` (the
+    /// default) never expires.
     pub fn deadline(&self) -> Option<Duration> {
         self.deadline
     }
@@ -191,10 +191,10 @@ where
         }
         mine
     };
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // The caller is one of the workers: spawn the other `threads - 1`
         // and claim chunks alongside them rather than block in `join`.
-        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(|_| work())).collect();
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
         let mut parts = work();
         for h in handles {
             parts.extend(h.join().expect("sweep worker panicked"));
@@ -202,31 +202,21 @@ where
         parts.sort_unstable_by_key(|&(c, _)| c);
         parts.into_iter().flat_map(|(_, v)| v).collect()
     })
-    .expect("sweep scope panicked")
 }
 
-/// Evaluates `f` over `inputs` in parallel, preserving order.
+/// Evaluates `f` over `inputs` in parallel under `opts`, preserving
+/// order. [`SweepOptions::deadline`] is ignored.
 ///
 /// The closure runs on scoped threads, so it may borrow from the
 /// caller's stack. A panic in any point is contained at the point
 /// boundary and re-raised on the caller's thread with the point index
 /// and the original payload message — not a generic join error.
-pub fn par_map<I, O, F>(inputs: &[I], f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    par_map_with(inputs, f, &SweepOptions::default())
-}
-
-/// [`par_map`] with explicit [`SweepOptions`].
 ///
 /// # Panics
 ///
 /// Re-raises the first (in input order) evaluator panic as
 /// `"sweep point <i> panicked: <payload>"`.
-pub fn par_map_with<I, O, F>(inputs: &[I], f: F, opts: &SweepOptions) -> Vec<O>
+pub fn par_map<I, O, F>(inputs: &[I], f: F, opts: &SweepOptions) -> Vec<O>
 where
     I: Sync,
     O: Send,
@@ -295,38 +285,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Evaluates a fallible `f` over `inputs` in parallel, preserving order
-/// and collecting per-point outcomes instead of panicking.
+/// Evaluates a fallible `f` over `inputs` in parallel under `opts`,
+/// preserving order and collecting per-point outcomes instead of
+/// panicking.
 ///
 /// Each point yields `Ok(output)`, `Err(PointFailure::Error(e))` for a
 /// typed evaluator error, or `Err(PointFailure::Panicked(msg))` if the
 /// evaluator panicked on that point — the panic is caught at the point
 /// boundary, so the rest of the sweep still completes.
-///
-/// # Examples
-///
-/// ```
-/// use xlda_core::sweep::{par_try_map, PointFailure};
-///
-/// let inputs = [1i64, -2, 3];
-/// let out = par_try_map(&inputs, |&x| {
-///     if x > 0 { Ok(x * x) } else { Err("negative") }
-/// });
-/// assert_eq!(out[0], Ok(1));
-/// assert_eq!(out[1], Err(PointFailure::Error("negative")));
-/// assert_eq!(out[2], Ok(9));
-/// ```
-pub fn par_try_map<I, O, E, F>(inputs: &[I], f: F) -> Vec<Result<O, PointFailure<E>>>
-where
-    I: Sync,
-    O: Send,
-    E: Send,
-    F: Fn(&I) -> Result<O, E> + Sync,
-{
-    par_try_map_with(inputs, f, &SweepOptions::default())
-}
-
-/// [`par_try_map`] with explicit [`SweepOptions`].
 ///
 /// When [`SweepOptions::deadline`] is set, the budget is measured from
 /// this call: any point whose evaluation has not *started* when it
@@ -335,7 +301,23 @@ where
 /// run to completion — the engine never interrupts an evaluator, it
 /// stops admitting new ones, so a sweep overshoots by at most one point
 /// per worker.
-pub fn par_try_map_with<I, O, E, F>(
+///
+/// # Examples
+///
+/// ```
+/// use xlda_core::sweep::{par_try_map, PointFailure, SweepOptions};
+///
+/// let inputs = [1i64, -2, 3];
+/// let out = par_try_map(
+///     &inputs,
+///     |&x| if x > 0 { Ok(x * x) } else { Err("negative") },
+///     &SweepOptions::default(),
+/// );
+/// assert_eq!(out[0], Ok(1));
+/// assert_eq!(out[1], Err(PointFailure::Error("negative")));
+/// assert_eq!(out[2], Ok(9));
+/// ```
+pub fn par_try_map<I, O, E, F>(
     inputs: &[I],
     f: F,
     opts: &SweepOptions,
@@ -368,29 +350,9 @@ where
 // Observability: per-sweep stats on top of xlda_obs spans.
 // ---------------------------------------------------------------------------
 
-/// How many of the slowest points a stats sweep keeps span trees for.
-pub const SLOW_POINTS_CAPTURED: usize = 8;
-
-/// One of the slowest points of a sweep, captured by [`sweep_with_stats`]
-/// when span collection is enabled.
-#[derive(Debug, Clone)]
-pub struct SlowPoint {
-    /// Index of the point in the sweep's input slice.
-    pub index: usize,
-    /// Wall time of this point's evaluation.
-    pub elapsed: Duration,
-    /// Caller-supplied label (scenario kind, candidate name, ... — empty
-    /// for [`sweep_with_stats`], see [`sweep_with_stats_labeled`]).
-    pub label: String,
-    /// The point's span tree: every span finished on the worker thread
-    /// during this point's evaluation. Empty unless trace capture
-    /// ([`xlda_obs::trace::start`]) was also active.
-    pub spans: Vec<SpanEvent>,
-}
-
-/// Observability record of one sweep: throughput, memo-cache activity,
-/// a per-layer span breakdown, and the slowest points, all measured over
-/// just that sweep (global accumulators are diffed before/after).
+/// Observability record of one sweep: throughput, memo-cache activity
+/// and a per-layer span breakdown, all measured over just that sweep
+/// (global accumulators are diffed before/after).
 #[derive(Debug, Clone)]
 pub struct SweepStats {
     /// Number of design points evaluated.
@@ -406,9 +368,6 @@ pub struct SweepStats {
     /// the engine's own `"sweep.point"` root span makes the partition
     /// cover (almost) the whole sweep.
     pub layers: Vec<SpanAgg>,
-    /// The up-to-[`SLOW_POINTS_CAPTURED`] slowest points, slowest first
-    /// (empty unless span collection is enabled).
-    pub slowest: Vec<SlowPoint>,
 }
 
 impl SweepStats {
@@ -441,13 +400,6 @@ impl SweepStats {
             self.cache_hits() as f64 / total as f64
         }
     }
-
-    /// Sum of per-span self time over the sweep — the instrumented share
-    /// of worker wall time. With N worker threads this can approach
-    /// `N * elapsed`.
-    pub fn layer_self_time(&self) -> Duration {
-        Duration::from_nanos(self.layers.iter().map(|l| l.self_nanos).sum())
-    }
 }
 
 fn diff_caches(before: &[CacheSnapshot], after: Vec<CacheSnapshot>) -> Vec<CacheSnapshot> {
@@ -469,198 +421,58 @@ fn diff_caches(before: &[CacheSnapshot], after: Vec<CacheSnapshot>) -> Vec<Cache
         .collect()
 }
 
-/// Bounded keep-the-slowest collector; entries stay sorted slowest-first.
-struct TopSlow {
-    points: Vec<SlowPoint>,
-    cap: usize,
-}
-
-impl TopSlow {
-    fn new(cap: usize) -> Self {
-        TopSlow {
-            points: Vec::with_capacity(cap + 1),
-            cap,
-        }
-    }
-
-    fn admits(&self, elapsed: Duration) -> bool {
-        self.points.len() < self.cap || self.points.last().is_some_and(|p| elapsed > p.elapsed)
-    }
-
-    fn push(&mut self, p: SlowPoint) {
-        let at = self.points.partition_point(|q| q.elapsed >= p.elapsed);
-        self.points.insert(at, p);
-        self.points.truncate(self.cap);
-    }
-}
-
-/// Runs [`par_map_with`] and measures it: wall time, throughput,
-/// memo-cache deltas, the per-span layer breakdown, and (when spans are
-/// enabled) the slowest points. Equivalent to
-/// [`sweep_with_stats_labeled`] with empty labels.
+/// Runs [`par_map`] and measures it: wall time, throughput, memo-cache
+/// deltas and the per-span layer breakdown.
+///
+/// Every point runs under a `"sweep.point"` root span, so with span
+/// collection enabled ([`xlda_obs::span::set_enabled`]) the breakdown
+/// covers (almost) the whole sweep. With spans disabled the root span is
+/// inert — its only per-point cost is one relaxed atomic load.
 pub fn sweep_with_stats<I, O, F>(inputs: &[I], f: F, opts: &SweepOptions) -> (Vec<O>, SweepStats)
 where
     I: Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    sweep_with_stats_labeled(inputs, f, |_| String::new(), opts)
-}
-
-/// [`sweep_with_stats`] with a per-point label (scenario kind, candidate
-/// name, ...) recorded on captured slow points.
-///
-/// When span collection is enabled ([`xlda_obs::span::set_enabled`]),
-/// every point runs under a `"sweep.point"` root span and the engine
-/// keeps the [`SLOW_POINTS_CAPTURED`] slowest points; if trace capture
-/// ([`xlda_obs::trace::start`]) is also active, each captured point
-/// carries the span events recorded on its worker thread during its
-/// evaluation. With spans disabled the closure runs bare — the only
-/// per-point cost is one relaxed atomic load.
-pub fn sweep_with_stats_labeled<I, O, F, L>(
-    inputs: &[I],
-    f: F,
-    label: L,
-    opts: &SweepOptions,
-) -> (Vec<O>, SweepStats)
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-    L: Fn(usize) -> String + Sync,
-{
     let caches_before = memo::snapshot();
     let spans_before = xlda_obs::span::aggregate_snapshot();
-    let slow = Mutex::new(TopSlow::new(SLOW_POINTS_CAPTURED));
-    let indices: Vec<usize> = (0..inputs.len()).collect();
     let start = Instant::now();
-    let out = par_map_with(
-        &indices,
-        |&i| {
-            if !xlda_obs::span::enabled() {
-                return f(&inputs[i]);
-            }
-            let mark = xlda_obs::trace::thread_watermark();
-            let t0 = Instant::now();
-            let o = {
-                let _point = xlda_obs::span!("sweep.point");
-                f(&inputs[i])
-            };
-            let elapsed = t0.elapsed();
-            let mut slow = slow.lock().unwrap_or_else(|e| e.into_inner());
-            if slow.admits(elapsed) {
-                let spans = if xlda_obs::trace::active() {
-                    xlda_obs::trace::thread_events_since(mark)
-                } else {
-                    Vec::new()
-                };
-                slow.push(SlowPoint {
-                    index: i,
-                    elapsed,
-                    label: label(i),
-                    spans,
-                });
-            }
-            o
+    let out = par_map(
+        inputs,
+        |input| {
+            let _point = xlda_obs::span!("sweep.point");
+            f(input)
         },
         opts,
     );
-    let elapsed = start.elapsed();
     let stats = SweepStats {
         points: inputs.len(),
-        elapsed,
+        elapsed: start.elapsed(),
         caches: diff_caches(&caches_before, memo::snapshot()),
         layers: xlda_obs::span::diff_aggregates(
             &spans_before,
             &xlda_obs::span::aggregate_snapshot(),
         ),
-        slowest: slow.into_inner().unwrap_or_else(|e| e.into_inner()).points,
     };
     (out, stats)
-}
-
-/// A thread-safe memoization cache for sweep evaluations.
-///
-/// Since v2 this is a thin wrapper over [`memo::ShardedCache`]: lookups
-/// shard across sixteen locks instead of serializing on one, and hits
-/// and misses are counted. Unlike the caches declared with
-/// [`xlda_num::memo_cache!`], a `Cache` is caller-owned and unregistered
-/// — it does not appear in [`memo::snapshot`] — but the global memo
-/// switch still governs it (a disabled switch bypasses it too, since
-/// transparency tests must silence *every* memo layer).
-///
-/// # Examples
-///
-/// ```
-/// use xlda_core::sweep::Cache;
-///
-/// let cache: Cache<u32, u64> = Cache::new();
-/// let v = cache.get_or_insert_with(7, || 7 * 7);
-/// assert_eq!(v, 49);
-/// assert_eq!(cache.len(), 1);
-/// ```
-#[derive(Debug)]
-pub struct Cache<K, V> {
-    inner: ShardedCache<K, V>,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Default for Cache<K, V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self {
-            inner: ShardedCache::new(),
-        }
-    }
-
-    /// Returns the cached value for `key`, computing and storing it with
-    /// `compute` on a miss.
-    ///
-    /// `compute` may run more than once under contention; the first
-    /// stored value wins, keeping results deterministic for pure
-    /// evaluators.
-    pub fn get_or_insert_with<F: FnOnce() -> V>(&self, key: K, compute: F) -> V {
-        self.inner.get_or_insert_with(key, compute)
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Hit/miss counters accumulated by this cache.
-    pub fn stats(&self) -> &memo::CacheStats {
-        self.inner.stats()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use xlda_num::memo_cache;
 
     #[test]
     fn par_map_preserves_order() {
         let inputs: Vec<u64> = (0..1000).collect();
-        let out = par_map(&inputs, |&x| x * x);
+        let out = par_map(&inputs, |&x| x * x, &SweepOptions::default());
         let expect: Vec<u64> = inputs.iter().map(|&x| x * x).collect();
         assert_eq!(out, expect);
     }
 
     #[test]
     fn par_map_empty() {
-        let out: Vec<u64> = par_map(&Vec::<u64>::new(), |&x| x);
+        let out: Vec<u64> = par_map(&Vec::<u64>::new(), |&x| x, &SweepOptions::default());
         assert!(out.is_empty());
     }
 
@@ -668,7 +480,7 @@ mod tests {
     fn par_map_borrows_from_stack() {
         let base = [10u64, 20, 30];
         let inputs = vec![0usize, 1, 2];
-        let out = par_map(&inputs, |&i| base[i] + 1);
+        let out = par_map(&inputs, |&i| base[i] + 1, &SweepOptions::default());
         assert_eq!(out, vec![11, 21, 31]);
     }
 
@@ -681,7 +493,7 @@ mod tests {
             SweepOptions::builder().threads(3).chunk(5).build(),
             SweepOptions::builder().threads(8).chunk(1).build(),
         ] {
-            let out = par_map_with(&inputs, |&x| x.wrapping_mul(x) ^ 7, &opts);
+            let out = par_map(&inputs, |&x| x.wrapping_mul(x) ^ 7, &opts);
             assert_eq!(out, expect, "options {opts:?}");
         }
     }
@@ -690,12 +502,16 @@ mod tests {
     fn par_map_panic_surfaces_point_payload() {
         let inputs: Vec<u32> = (0..64).collect();
         let caught = std::panic::catch_unwind(|| {
-            par_map(&inputs, |&x| {
-                if x == 41 {
-                    panic!("model bug on candidate {x}");
-                }
-                x
-            })
+            par_map(
+                &inputs,
+                |&x| {
+                    if x == 41 {
+                        panic!("model bug on candidate {x}");
+                    }
+                    x
+                },
+                &SweepOptions::default(),
+            )
         })
         .expect_err("sweep must propagate the panic");
         let msg = panic_message(caught);
@@ -706,7 +522,11 @@ mod tests {
     #[test]
     fn par_try_map_collects_errors_in_order() {
         let inputs: Vec<i64> = (-3..3).collect();
-        let out = par_try_map(&inputs, |&x| if x >= 0 { Ok(x * 2) } else { Err(x) });
+        let out = par_try_map(
+            &inputs,
+            |&x| if x >= 0 { Ok(x * 2) } else { Err(x) },
+            &SweepOptions::default(),
+        );
         assert_eq!(out.len(), 6);
         for (i, r) in inputs.iter().zip(&out) {
             if *i >= 0 {
@@ -720,12 +540,16 @@ mod tests {
     #[test]
     fn par_try_map_contains_panics_to_their_point() {
         let inputs = vec![1u32, 2, 3, 4];
-        let out: Vec<Result<u32, PointFailure<String>>> = par_try_map(&inputs, |&x| {
-            if x == 3 {
-                panic!("model bug at point {x}");
-            }
-            Ok(x)
-        });
+        let out: Vec<Result<u32, PointFailure<String>>> = par_try_map(
+            &inputs,
+            |&x| {
+                if x == 3 {
+                    panic!("model bug at point {x}");
+                }
+                Ok(x)
+            },
+            &SweepOptions::default(),
+        );
         assert_eq!(out[0], Ok(1));
         assert_eq!(out[1], Ok(2));
         match &out[2] {
@@ -777,8 +601,7 @@ mod tests {
     fn expired_deadline_skips_unstarted_points() {
         let inputs: Vec<u32> = (0..64).collect();
         let opts = SweepOptions::builder().deadline(Duration::ZERO).build();
-        let out: Vec<Result<u32, PointFailure<&str>>> =
-            par_try_map_with(&inputs, |&x| Ok(x), &opts);
+        let out: Vec<Result<u32, PointFailure<&str>>> = par_try_map(&inputs, |&x| Ok(x), &opts);
         assert_eq!(out.len(), 64);
         assert!(
             out.iter()
@@ -793,8 +616,7 @@ mod tests {
         let opts = SweepOptions::builder()
             .deadline(Duration::from_secs(3600))
             .build();
-        let out: Vec<Result<u32, PointFailure<&str>>> =
-            par_try_map_with(&inputs, |&x| Ok(x * 2), &opts);
+        let out: Vec<Result<u32, PointFailure<&str>>> = par_try_map(&inputs, |&x| Ok(x * 2), &opts);
         let expect: Vec<Result<u32, PointFailure<&str>>> =
             inputs.iter().map(|&x| Ok(x * 2)).collect();
         assert_eq!(out, expect);
@@ -804,33 +626,19 @@ mod tests {
     fn infallible_paths_ignore_the_deadline() {
         let inputs: Vec<u32> = (0..16).collect();
         let opts = SweepOptions::builder().deadline(Duration::ZERO).build();
-        let out = par_map_with(&inputs, |&x| x + 1, &opts);
+        let out = par_map(&inputs, |&x| x + 1, &opts);
         assert_eq!(out, (1..17).collect::<Vec<u32>>());
     }
 
     #[test]
-    fn cache_hits_avoid_recompute() {
-        let cache: Cache<u32, u32> = Cache::new();
-        let calls = AtomicUsize::new(0);
-        for _ in 0..5 {
-            let v = cache.get_or_insert_with(1, || {
-                calls.fetch_add(1, Ordering::SeqCst);
-                42
-            });
-            assert_eq!(v, 42);
-        }
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
-        assert_eq!(cache.stats().hits(), 4);
-        assert_eq!(cache.stats().misses(), 1);
-    }
-
-    #[test]
     fn cache_is_usable_from_par_map_workers() {
-        let cache: Cache<u64, u64> = Cache::new();
+        let cache: memo::ShardedCache<u64, u64> = memo::ShardedCache::new();
         let inputs: Vec<u64> = (0..256).map(|i| i % 8).collect();
-        let out = par_map(&inputs, |&x| cache.get_or_insert_with(x, || x * 100));
+        let out = par_map(
+            &inputs,
+            |&x| cache.get_or_insert_with(x, || x * 100),
+            &SweepOptions::default(),
+        );
         assert_eq!(cache.len(), 8);
         for (i, &v) in inputs.iter().zip(&out) {
             assert_eq!(v, i * 100);
@@ -859,17 +667,13 @@ mod tests {
         assert!(stats.cache_hit_rate() > 0.0);
     }
 
-    /// Span collection is process-global; tests that enable it are
-    /// serialized so parallel test threads cannot observe each other's
-    /// windows (assertions stay tolerant of spans leaking *in*).
-    static OBS_LOCK: Mutex<()> = Mutex::new(());
-
+    /// Toggles the process-global span switch; no other test in this
+    /// crate does, so it takes no lock.
     #[test]
     fn sweep_stats_layer_breakdown_from_spans() {
-        let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let inputs: Vec<u64> = (0..64).collect();
 
-        // Spans disabled: no breakdown, no slow points.
+        // Spans disabled: no breakdown.
         let (_, stats) = sweep_with_stats(
             &inputs,
             |&x| {
@@ -879,16 +683,14 @@ mod tests {
             &SweepOptions::default(),
         );
         assert!(stats.layers.iter().all(|l| l.name != "core.test_layer"));
-        assert!(stats.slowest.is_empty());
 
         xlda_obs::span::set_enabled(true);
-        let (_, stats) = sweep_with_stats_labeled(
+        let (_, stats) = sweep_with_stats(
             &inputs,
             |&x| {
                 let _s = xlda_obs::span!("core.test_layer");
                 std::hint::black_box(x * 3)
             },
-            |i| format!("point-{i}"),
             &SweepOptions::default(),
         );
         xlda_obs::span::set_enabled(false);
@@ -907,47 +709,6 @@ mod tests {
         assert!(root.calls >= 64);
         // The root span's total covers its children.
         assert!(root.total_nanos >= layer.total_nanos);
-
-        assert!(!stats.slowest.is_empty());
-        assert!(stats.slowest.len() <= SLOW_POINTS_CAPTURED);
-        // Slowest-first ordering and labels wired through.
-        for w in stats.slowest.windows(2) {
-            assert!(w[0].elapsed >= w[1].elapsed);
-        }
-        for p in &stats.slowest {
-            assert_eq!(p.label, format!("point-{}", p.index));
-            // No trace capture was started, so no span trees.
-            assert!(p.spans.is_empty());
-        }
-    }
-
-    #[test]
-    fn slow_points_carry_span_trees_when_tracing() {
-        let _g = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let inputs: Vec<u64> = (0..16).collect();
-        xlda_obs::trace::start();
-        xlda_obs::span::set_enabled(true);
-        let (_, stats) = sweep_with_stats(
-            &inputs,
-            |&x| {
-                let _s = xlda_obs::span!("core.test_traced_layer");
-                std::hint::black_box(x + 1)
-            },
-            &SweepOptions::default(),
-        );
-        xlda_obs::span::set_enabled(false);
-        xlda_obs::trace::stop();
-
-        assert!(!stats.slowest.is_empty());
-        for p in &stats.slowest {
-            assert!(
-                p.spans.iter().any(|e| e.name == "sweep.point"),
-                "point {} captured {:?}",
-                p.index,
-                p.spans
-            );
-            assert!(p.spans.iter().any(|e| e.name == "core.test_traced_layer"));
-        }
     }
 
     #[test]

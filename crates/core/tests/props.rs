@@ -130,12 +130,13 @@ proptest! {
 
 mod sweep_props {
     use proptest::prelude::*;
-    use xlda_core::sweep::{par_map, par_map_with, Cache, SweepOptions};
+    use xlda_core::sweep::memo::ShardedCache;
+    use xlda_core::sweep::{par_map, SweepOptions};
 
     proptest! {
         #[test]
         fn par_map_equals_sequential_map(xs in prop::collection::vec(-1e6f64..1e6, 0..200)) {
-            let par = par_map(&xs, |&x| x * 2.0 + 1.0);
+            let par = par_map(&xs, |&x| x * 2.0 + 1.0, &SweepOptions::default());
             let seq: Vec<f64> = xs.iter().map(|&x| x * 2.0 + 1.0).collect();
             prop_assert_eq!(par, seq);
         }
@@ -150,7 +151,7 @@ mod sweep_props {
             // engine must still return results in input order, exactly
             // matching a sequential map.
             let f = |&x: &f64| x.sin() * x + 1.0;
-            let stealing = par_map_with(
+            let stealing = par_map(
                 &xs,
                 f,
                 &SweepOptions::builder()
@@ -164,7 +165,7 @@ mod sweep_props {
 
         #[test]
         fn cache_returns_first_computed_value(keys in prop::collection::vec(0u32..16, 1..100)) {
-            let cache: Cache<u32, u32> = Cache::new();
+            let cache: ShardedCache<u32, u32> = ShardedCache::new();
             let mut reference = std::collections::HashMap::new();
             for &k in &keys {
                 let v = cache.get_or_insert_with(k, || k * 10);

@@ -30,6 +30,8 @@
 //! assert_eq!(y.len(), 16);
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod macro_model;
 pub mod stochastic;
 

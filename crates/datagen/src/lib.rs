@@ -13,6 +13,8 @@
 //! - [`fewshot`] — a stroke-based image generator with episode sampling
 //!   for N-way K-shot evaluation.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod classification;
 pub mod fewshot;
 

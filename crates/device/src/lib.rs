@@ -28,6 +28,8 @@
 //! assert!(dev.on_off_ratio() > 1e3);
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod fefet;
 pub mod flash;
 pub mod mlc;
@@ -37,7 +39,7 @@ pub mod rram;
 pub mod sram;
 
 /// Technology family of a memory device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// Ferroelectric field-effect transistor.
     Fefet,

@@ -20,7 +20,7 @@ pub struct CamArray {
 }
 
 /// Complete figure-of-merit report for a CAM array.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CamReport {
     /// Total silicon area (µm²), cells plus peripherals.
     pub area_um2: f64,

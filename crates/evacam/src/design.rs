@@ -11,7 +11,7 @@ use xlda_device::sram::Sram;
 use xlda_device::MemoryDevice;
 
 /// CAM cell circuit design (paper Sec. II-B1 taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CamCellDesign {
     /// The compact 2-FeFET cell (Fig. 2B): TCAM, MCAM, and ACAM capable.
     Fefet2T,
@@ -179,7 +179,7 @@ impl std::fmt::Display for CamCellDesign {
 }
 
 /// Data representation stored/searched per cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataKind {
     /// One bit per cell.
     Binary,
@@ -204,7 +204,7 @@ impl DataKind {
 }
 
 /// Match semantics the array must implement (Fig. 2C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatchKind {
     /// Exact match: flag words with zero mismatches.
     Exact,

@@ -37,6 +37,8 @@
 //! # Ok::<(), xlda_evacam::CamError>(())
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod acam;
 mod array;
 mod design;

@@ -36,6 +36,8 @@
 //! assert!(model.accuracy(&data) > 0.7);
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod cam;
 pub mod codesign;
 pub mod encode;

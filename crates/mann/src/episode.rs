@@ -210,14 +210,14 @@ pub fn evaluate(
             )
         })
         .collect();
-    let results: Vec<(usize, usize)> = crossbeam::thread::scope(|scope| {
+    let results: Vec<(usize, usize)> = std::thread::scope(|scope| {
         let handles: Vec<_> = episodes
             .iter()
             .map(|(ep, episode)| {
                 let hashers = &hashers;
                 let device = &device;
                 let embed = &embed;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     run_episode(
                         embed,
                         episode,
@@ -233,8 +233,7 @@ pub fn evaluate(
             .into_iter()
             .map(|h| h.join().expect("episode worker panicked"))
             .collect()
-    })
-    .expect("episode scope panicked");
+    });
     let total_correct: usize = results.iter().map(|(c, _)| c).sum();
     let total_queries: usize = results.iter().map(|(_, q)| q).sum();
     total_correct as f64 / total_queries.max(1) as f64

@@ -24,6 +24,8 @@
 //!   differential crossbars (the paper's ">65,000 weights via 130,000
 //!   RRAM devices in 36 arrays" mapping).
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod am;
 pub mod controller;
 pub mod episode;

@@ -32,6 +32,8 @@
 //! assert!(mean(&samples).abs() < 0.2);
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod batch;
 pub mod matrix;
 pub mod memo;

@@ -100,19 +100,6 @@ impl TrialBatch {
             *o = rng.log_normal(mu, sigma);
         }
     }
-
-    /// Fills `out[i]` with a uniform draw in `[lo, hi)` from trial `i`'s
-    /// stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != self.len()` or the range is invalid.
-    pub fn fill_uniform_in(&mut self, lo: f64, hi: f64, out: &mut [f64]) {
-        assert_eq!(out.len(), self.len(), "column length mismatch");
-        for (o, rng) in out.iter_mut().zip(self.rngs.iter_mut()) {
-            *o = rng.uniform_in(lo, hi);
-        }
-    }
 }
 
 /// Distribution digest of one Monte-Carlo outcome column.

@@ -23,6 +23,8 @@
 //! # Ok::<(), xlda_nvram::RamError>(())
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod lifetime;
 
 use std::sync::Arc;
@@ -46,7 +48,7 @@ memo_cache!(
 );
 
 /// Storage-cell style for a RAM array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RamCell {
     /// 6T SRAM.
     Sram6T,
@@ -195,7 +197,7 @@ pub struct RamArray {
 }
 
 /// RAM figures of merit.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RamReport {
     /// Random read latency (s).
     pub read_latency_s: f64,

@@ -28,7 +28,7 @@ impl WriteTraffic {
 }
 
 /// Lifetime estimate for one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifetimeEstimate {
     /// Time until the most-written cell exhausts its endurance (s).
     pub seconds: f64,

@@ -18,7 +18,7 @@
 //!   instruments per subsystem (e.g. one per server instance).
 //! * [`trace`] — an opt-in event recorder that captures every finished span
 //!   as a `(name, thread, start_ns, dur_ns, depth)` tuple in per-thread
-//!   buffers, for NDJSON dumps and per-point slow-query capture.
+//!   buffers, for NDJSON dumps.
 //! * [`flight`] — a per-request flight recorder: stage-timestamped
 //!   [`flight::RequestTrace`] handles whose completed records land in a
 //!   tail-sampling [`flight::FlightRecorder`] ring (errors, deadline misses,
@@ -28,6 +28,8 @@
 //! [`export`] renders all of the above as NDJSON lines or Prometheus text,
 //! and owns the shortest-round-trip f64 formatter shared with
 //! `xlda-serve`'s JSON layer.
+
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod clock;
 pub mod export;

@@ -1,14 +1,10 @@
-//! Opt-in span event capture for NDJSON traces and slow-query dumps.
+//! Opt-in span event capture for NDJSON traces.
 //!
 //! When tracing is started (on top of span collection being enabled), every
 //! finished span appends a [`SpanEvent`] to a per-thread buffer; buffers are
 //! registered in a process-global list so [`stop`] can drain them all. Each
 //! buffer is capped so a runaway trace degrades to dropped events (counted)
 //! rather than unbounded memory.
-//!
-//! The sweep engine additionally uses [`thread_watermark`] /
-//! [`thread_events_since`] to snip out just the events belonging to one sweep
-//! point on the current thread, for top-K slow-point capture.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -124,25 +120,10 @@ pub(crate) fn record(name: &'static str, start_ticks: u64, dur_ns: u64, depth: u
     });
 }
 
-/// Current length of this thread's event buffer — a cursor for
-/// [`thread_events_since`].
-pub fn thread_watermark() -> usize {
-    LOCAL.with(|buf| buf.events.lock().unwrap_or_else(|e| e.into_inner()).len())
-}
-
-/// Clone this thread's events recorded at or after `mark` (a value previously
-/// returned by [`thread_watermark`] on the same thread).
-pub fn thread_events_since(mark: usize) -> Vec<SpanEvent> {
-    LOCAL.with(|buf| {
-        let events = buf.events.lock().unwrap_or_else(|e| e.into_inner());
-        events.get(mark..).map_or_else(Vec::new, <[_]>::to_vec)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{self, set_enabled};
+    use crate::span::set_enabled;
 
     #[test]
     fn start_stop_captures_events_across_threads() {
@@ -182,41 +163,15 @@ mod tests {
     }
 
     #[test]
-    fn watermark_scopes_per_point_capture() {
-        let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        start();
-        set_enabled(true);
-        {
-            let _s = crate::span!("trace.before_mark");
-        }
-        let mark = thread_watermark();
-        {
-            let _outer = crate::span!("trace.point");
-            let _inner = crate::span!("trace.point_child");
-        }
-        let slice = thread_events_since(mark);
-        set_enabled(false);
-        stop();
-        assert_eq!(slice.len(), 2);
-        assert!(slice.iter().all(|e| e.name.starts_with("trace.point")));
-        assert!(slice.iter().any(|e| e.depth == 0));
-        assert!(slice.iter().any(|e| e.depth == 1));
-        // span::aggregate_snapshot still sees the pre-mark span.
-        assert!(span::aggregate_snapshot()
-            .iter()
-            .any(|a| a.name == "trace.before_mark" && a.calls > 0));
-    }
-
-    #[test]
     fn inactive_trace_records_nothing() {
         let _g = crate::SPAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // Not started: spans aggregate but do not produce events.
+        assert!(!active());
         set_enabled(true);
-        let mark = thread_watermark();
         {
             let _s = crate::span!("trace.untraced");
         }
         set_enabled(false);
-        assert!(thread_events_since(mark).is_empty());
+        assert!(stop().iter().all(|e| e.name != "trace.untraced"));
     }
 }

@@ -1,10 +1,9 @@
 //! Minimal JSON value, parser, and emitter.
 //!
-//! The workspace's vendored-deps policy means `serde` resolves to a
-//! no-op shim, so the wire format is hand-rolled. This is a full
-//! recursive-descent parser rather than a field scanner because the
-//! service must reject malformed requests with a useful error instead
-//! of misreading them.
+//! The workspace has no serialization dependency, so the wire format is
+//! hand-rolled. This is a full recursive-descent parser rather than a
+//! field scanner because the service must reject malformed requests with
+//! a useful error instead of misreading them.
 //!
 //! Numbers are `f64` throughout. Emission uses Rust's `{}` formatting,
 //! which prints the shortest decimal that round-trips to the same bits;

@@ -11,8 +11,7 @@
 //!
 //! Layout:
 //!
-//! - [`json`] — hand-rolled JSON (the vendored `serde` is a no-op
-//!   shim), with bit-exact `f64` round-tripping;
+//! - [`json`] — hand-rolled JSON with bit-exact `f64` round-tripping;
 //! - [`protocol`] — request parsing and response formatting;
 //! - [`server`] — queue → adaptive batcher → pool → drain pipeline and
 //!   the transports;
@@ -28,6 +27,8 @@
 //! §15. See DESIGN.md §9 (pipeline, wire schema) and §11 (event loop),
 //! and `xlda-bench --loadgen` for the serving benchmark that produces
 //! `BENCH_serve.json`.
+
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod access_log;
 pub mod json;

@@ -22,7 +22,7 @@ enum Resource {
 }
 
 /// Outcome of a multi-stream run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlpReport {
     /// End-to-end time running the streams back-to-back (s).
     pub serial_time_s: f64,

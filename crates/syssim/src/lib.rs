@@ -25,6 +25,8 @@
 //! assert!(accel.total_time_s < plain.total_time_s);
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub mod alp;
 pub mod event;
 pub mod study;

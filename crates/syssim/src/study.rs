@@ -9,7 +9,7 @@ use crate::system::{System, SystemConfig};
 use crate::workload::Workload;
 
 /// One row of the speedup study.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupRow {
     /// Workload name.
     pub workload: String,

@@ -4,7 +4,7 @@ use crate::event::EventQueue;
 use crate::workload::{KernelOp, Workload};
 
 /// In-order core parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Clock frequency (Hz).
     pub freq_hz: f64,
@@ -29,7 +29,7 @@ impl Default for CoreConfig {
 }
 
 /// Two-level cache parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheConfig {
     /// L1 hit rate for streaming kernels.
     pub l1_hit: f64,
@@ -50,7 +50,7 @@ impl Default for CacheConfig {
 }
 
 /// DRAM channel parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramConfig {
     /// Sustained bandwidth (B/s).
     pub bandwidth: f64,
@@ -72,7 +72,7 @@ impl Default for DramConfig {
 }
 
 /// Analog crossbar accelerator parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelConfig {
     /// Crossbar tile rows.
     pub rows: usize,
@@ -110,7 +110,7 @@ impl Default for AccelConfig {
 }
 
 /// Complete system configuration.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Core model.
     pub core: CoreConfig,
@@ -143,7 +143,7 @@ impl SystemConfig {
 }
 
 /// Per-kernel simulation record.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelRecord {
     /// Kernel name.
     pub name: String,
@@ -154,7 +154,7 @@ pub struct KernelRecord {
 }
 
 /// Simulation outcome.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// End-to-end time (s).
     pub total_time_s: f64,

@@ -7,7 +7,7 @@
 //! plus the HDC and MANN pipelines of the case studies.
 
 /// One kernel invocation in a workload trace.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelOp {
     /// Kernel label (reports).
     pub name: String,
@@ -30,7 +30,7 @@ impl KernelOp {
 }
 
 /// A named sequence of kernels.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Workload label.
     pub name: String,

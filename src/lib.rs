@@ -40,6 +40,8 @@
 //! studies and `crates/bench/src/bin/` for the figure-by-figure
 //! reproduction harness.
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub use xlda_baseline as baseline;
 pub use xlda_circuit as circuit;
 pub use xlda_core as core;

@@ -105,7 +105,7 @@ fn full_candidate_evaluation_deterministic() {
 
 #[test]
 fn parallel_accuracy_matches_itself_across_runs() {
-    // The crossbeam-parallel CAM accuracy path must not depend on thread
+    // The thread-parallel CAM accuracy path must not depend on thread
     // scheduling.
     use xlda::device::fefet::Fefet;
     use xlda::hdc::cam::{Aggregation, CamAm, CamSearchConfig};

@@ -10,7 +10,7 @@
 
 use xlda::core::error::XldaError;
 use xlda::core::evaluate::{HdcScenario, Scenario};
-use xlda::core::sweep::{par_try_map, PointFailure};
+use xlda::core::sweep::{par_try_map, PointFailure, SweepOptions};
 use xlda::core::triage::{rank, Objective};
 use xlda::evacam::{CamArray, CamCellDesign, CamConfig, CamError, CamReport, DataKind, MatchKind};
 
@@ -53,9 +53,11 @@ fn cam_grid() -> Vec<CamConfig> {
 #[test]
 fn cam_grid_sweep_completes_and_reports_per_point_errors() {
     let grid = cam_grid();
-    let results: Vec<Result<CamReport, PointFailure<CamError>>> = par_try_map(&grid, |cfg| {
-        CamArray::new(cfg.clone()).map(|cam| cam.report())
-    });
+    let results: Vec<Result<CamReport, PointFailure<CamError>>> = par_try_map(
+        &grid,
+        |cfg| CamArray::new(cfg.clone()).map(|cam| cam.report()),
+        &SweepOptions::default(),
+    );
 
     assert_eq!(results.len(), grid.len());
 
@@ -145,7 +147,7 @@ fn scenario_sweep_with_poisoned_point_still_ranks_the_rest() {
         ..HdcScenario::default()
     });
 
-    let results = par_try_map(&scenarios, |s| s.candidates());
+    let results = par_try_map(&scenarios, |s| s.candidates(), &SweepOptions::default());
     assert_eq!(results.len(), scenarios.len());
 
     let mut ranked_any = false;
