@@ -205,6 +205,7 @@ impl CamAm {
     /// Test queries are independent, so evaluation fans out across
     /// threads (the Fig. 3F/3G sweeps run hundreds of these).
     pub fn accuracy(&self, encoder: &Encoder, data: &Dataset) -> f64 {
+        let _span = xlda_obs::span!("hdc.cam");
         let n = data.test_labels.len();
         if n == 0 {
             return 0.0;
@@ -220,15 +221,12 @@ impl CamAm {
                 let end = (start + chunk).min(n);
                 handles.push(scope.spawn(move || {
                     let mut local = 0usize;
-                    for i in start..end {
-                        let hv = quantize_hv(
-                            &encoder.encode(data.test.row(i)),
-                            self.config.bits_per_cell,
-                        );
+                    encoder.encode_each(&data.test, start..end, |i, hv| {
+                        let hv = quantize_hv(hv, self.config.bits_per_cell);
                         if self.search(&hv) == data.test_labels[i] {
                             local += 1;
                         }
-                    }
+                    });
                     local
                 }));
             }

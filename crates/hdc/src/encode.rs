@@ -1,5 +1,6 @@
 //! Hypervector encoding and element quantization.
 
+use std::ops::Range;
 use xlda_num::matrix::Matrix;
 use xlda_num::rng::Rng64;
 
@@ -124,10 +125,9 @@ impl Encoder {
         assert_eq!(x.len(), self.config.dim_in, "input dimension mismatch");
         match self.config.style {
             EncodingStyle::RandomProjection => {
-                let hv = self.proj.matvec(x);
-                // Normalize to unit max magnitude for stable quantization.
-                let m = hv.iter().fold(0.0f64, |a, &v| a.max(v.abs())).max(1e-12);
-                hv.iter().map(|&v| v / m).collect()
+                let mut hv = self.proj.matvec(x);
+                unit_max(&mut hv);
+                hv
             }
             EncodingStyle::IdLevel { levels } => {
                 let lv = self.level_hvs.as_ref().expect("level HVs exist");
@@ -146,10 +146,76 @@ impl Encoder {
                         *a += p * q; // binding by elementwise multiply
                     }
                 }
-                let m = acc.iter().fold(0.0f64, |a, &v| a.max(v.abs())).max(1e-12);
-                acc.iter().map(|&v| v / m).collect()
+                unit_max(&mut acc);
+                acc
             }
         }
+    }
+
+    /// Encodes a block of samples, one per row of the row-major slice
+    /// `xs`: row `s` of the result equals
+    /// `self.encode(&xs[s * dim_in..(s + 1) * dim_in])` bit for bit.
+    ///
+    /// Random projection runs the whole block through one
+    /// [`Matrix::matvec_rows`] pass; ID-level encoding encodes row by row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is empty or its length is not a multiple of the
+    /// configured input dimension.
+    pub fn encode_rows(&self, xs: &[f64]) -> Matrix {
+        let dim_in = self.config.dim_in;
+        assert!(
+            !xs.is_empty() && xs.len().is_multiple_of(dim_in),
+            "input dimension mismatch"
+        );
+        match self.config.style {
+            EncodingStyle::RandomProjection => {
+                let mut hvs = self.proj.matvec_rows(xs);
+                for hv in hvs.as_mut_slice().chunks_exact_mut(self.config.hv_dim) {
+                    unit_max(hv);
+                }
+                hvs
+            }
+            EncodingStyle::IdLevel { .. } => {
+                let mut hvs = Matrix::zeros(xs.len() / dim_in, self.config.hv_dim);
+                for (s, x) in xs.chunks_exact(dim_in).enumerate() {
+                    hvs.row_mut(s).copy_from_slice(&self.encode(x));
+                }
+                hvs
+            }
+        }
+    }
+
+    /// Encodes rows `rows` of `data` in blocks of [`STREAM_BLOCK`]
+    /// samples and hands each hypervector to `f` with its row index, in
+    /// row order. Memory stays at one block whatever the row count.
+    pub(crate) fn encode_each(
+        &self,
+        data: &Matrix,
+        rows: Range<usize>,
+        mut f: impl FnMut(usize, &[f64]),
+    ) {
+        let d = data.cols();
+        for start in rows.clone().step_by(STREAM_BLOCK) {
+            let end = (start + STREAM_BLOCK).min(rows.end);
+            let hvs = self.encode_rows(&data.as_slice()[start * d..end * d]);
+            for (i, hv) in (start..end).zip(hvs.as_slice().chunks_exact(hvs.cols())) {
+                f(i, hv);
+            }
+        }
+    }
+}
+
+/// Samples per [`Encoder::encode_rows`] call when a data set is streamed
+/// through the encoder.
+const STREAM_BLOCK: usize = 64;
+
+/// Scales a hypervector to unit max magnitude for stable quantization.
+fn unit_max(hv: &mut [f64]) {
+    let m = hv.iter().fold(0.0f64, |a, &v| a.max(v.abs())).max(1e-12);
+    for v in hv {
+        *v /= m;
     }
 }
 

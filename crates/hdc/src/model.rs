@@ -2,7 +2,7 @@
 
 use crate::encode::{quantize_hv, Encoder};
 use xlda_datagen::Dataset;
-use xlda_num::matrix::{cosine_similarity, squared_euclidean, Matrix};
+use xlda_num::matrix::{cosine_with_norms, norm, squared_euclidean, Matrix};
 
 /// Distance used for associative search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,6 +20,8 @@ pub enum Distance {
 #[derive(Debug, Clone)]
 pub struct HdcModel {
     class_hvs: Matrix,
+    /// L2 norm of each class HV, for cosine search.
+    class_norms: Vec<f64>,
     bits: u8,
 }
 
@@ -32,15 +34,14 @@ impl HdcModel {
     ///
     /// Panics if the dataset is empty or `bits == 0`.
     pub fn train(encoder: &Encoder, data: &Dataset, bits: u8, retrain_passes: usize) -> Self {
+        let _span = xlda_obs::span!("hdc.train");
         assert!(bits > 0, "bits must be positive");
         assert!(!data.train_labels.is_empty(), "empty training set");
         let d = encoder.hv_dim();
         let mut class_acc = Matrix::zeros(data.classes, d);
-        let encoded: Vec<Vec<f64>> = (0..data.train.rows())
-            .map(|i| encoder.encode(data.train.row(i)))
-            .collect();
+        let encoded = encoder.encode_rows(data.train.as_slice());
         for (i, &c) in data.train_labels.iter().enumerate() {
-            for (slot, &v) in class_acc.row_mut(c).iter_mut().zip(&encoded[i]) {
+            for (slot, &v) in class_acc.row_mut(c).iter_mut().zip(encoded.row(i)) {
                 *slot += v;
             }
         }
@@ -49,12 +50,13 @@ impl HdcModel {
         for _ in 0..retrain_passes {
             let snapshot = Self::finalize(&class_acc, bits);
             for (i, &c) in data.train_labels.iter().enumerate() {
-                let pred = snapshot.classify_hv(&quantize_hv(&encoded[i], bits), Distance::Cosine);
+                let hv = encoded.row(i);
+                let pred = snapshot.classify_hv(&quantize_hv(hv, bits), Distance::Cosine);
                 if pred != c {
-                    for (slot, &v) in class_acc.row_mut(c).iter_mut().zip(&encoded[i]) {
+                    for (slot, &v) in class_acc.row_mut(c).iter_mut().zip(hv) {
                         *slot += v;
                     }
-                    for (slot, &v) in class_acc.row_mut(pred).iter_mut().zip(&encoded[i]) {
+                    for (slot, &v) in class_acc.row_mut(pred).iter_mut().zip(hv) {
                         *slot -= v;
                     }
                 }
@@ -86,7 +88,14 @@ impl HdcModel {
                 .row_mut(c)
                 .copy_from_slice(&quantize_hv(&scaled, bits));
         }
-        Self { class_hvs, bits }
+        let class_norms = (0..class_hvs.rows())
+            .map(|c| norm(class_hvs.row(c)))
+            .collect();
+        Self {
+            class_hvs,
+            class_norms,
+            bits,
+        }
     }
 
     /// Number of classes.
@@ -111,12 +120,18 @@ impl HdcModel {
 
     /// Classifies an already-encoded, quantized hypervector.
     pub fn classify_hv(&self, hv: &[f64], distance: Distance) -> usize {
+        // Cosine takes the query's norm once and each class HV's from the
+        // cache.
+        let hv_norm = match distance {
+            Distance::Cosine => norm(hv),
+            Distance::Hamming | Distance::SquaredEuclidean => 0.0,
+        };
         let mut best = 0usize;
         let mut best_score = f64::NEG_INFINITY;
         for c in 0..self.classes() {
             let stored = self.class_hvs.row(c);
             let score = match distance {
-                Distance::Cosine => cosine_similarity(hv, stored),
+                Distance::Cosine => cosine_with_norms(hv, stored, hv_norm, self.class_norms[c]),
                 Distance::Hamming => {
                     -(hv.iter()
                         .zip(stored)
@@ -142,13 +157,15 @@ impl HdcModel {
     /// Test-set accuracy with the given distance. The encoder must be the
     /// one used at training time.
     pub fn accuracy_with(&self, encoder: &Encoder, data: &Dataset, distance: Distance) -> f64 {
+        let _span = xlda_obs::span!("hdc.classify");
+        let n = data.test_labels.len();
         let mut correct = 0usize;
-        for (i, &label) in data.test_labels.iter().enumerate() {
-            if self.classify(encoder, data.test.row(i), distance) == label {
+        encoder.encode_each(&data.test, 0..n, |i, hv| {
+            if self.classify_hv(&quantize_hv(hv, self.bits), distance) == data.test_labels[i] {
                 correct += 1;
             }
-        }
-        correct as f64 / data.test_labels.len() as f64
+        });
+        correct as f64 / n as f64
     }
 
     /// Test-set accuracy with cosine distance (the software default).

@@ -37,6 +37,7 @@ impl Default for TrainConfig {
 /// Trains the controller CNN on the background split and reports the
 /// final background training accuracy.
 pub fn train_controller(data: &ImageSet, config: &TrainConfig) -> (SmallCnn, f64) {
+    let _span = xlda_obs::span!("mann.train");
     let classes = data.background.len();
     let mut rng = Rng64::new(config.seed);
     let mut net = SmallCnn::new(IMAGE_SIDE, config.emb_dim, classes, &mut rng);

@@ -98,6 +98,7 @@ pub fn evaluate(
     variant: MannVariant,
     config: &EpisodeConfig,
 ) -> f64 {
+    let _span = xlda_obs::span!("mann.episodes");
     let mut rng = Rng64::new(config.seed);
     let emb_dim = net.emb_dim();
     let device = Rram::taox();

@@ -88,10 +88,54 @@ impl Conv2d {
 
     /// Forward pass.
     ///
+    /// Each output is its bias plus its in-bounds taps added in
+    /// `(i, dy, dx)` order, one output at a time. The pass keeps one
+    /// output row per `(channel, y)` and adds each tap to the run of
+    /// outputs it reaches; border outputs skip the taps that fall outside
+    /// the input rather than adding `w * 0.0`.
+    ///
     /// # Panics
     ///
     /// Panics if the input channel count mismatches.
     pub fn forward(&self, input: &Tensor) -> Tensor {
+        assert_eq!(input.c, self.in_c, "conv input channels");
+        let (h, w) = (input.h, input.w);
+        let mut out = Tensor::zeros(self.out_c, h, w);
+        for (o, plane) in out.data.chunks_exact_mut(h * w).enumerate() {
+            for (y, acc) in plane.chunks_exact_mut(w).enumerate() {
+                acc.fill(self.b[o]);
+                for i in 0..self.in_c {
+                    for dy in 0..3usize {
+                        // Input row y + dy - 1, when it exists.
+                        let Some(yy) = (y + dy).checked_sub(1).filter(|&yy| yy < h) else {
+                            continue;
+                        };
+                        let row = &input.data[(i * h + yy) * w..][..w];
+                        for dx in 0..3usize {
+                            // Output x reads input x + dx - 1, which exists
+                            // for x in lo..hi.
+                            let lo = 1 - dx.min(1);
+                            let hi = (w + 1 - dx).min(w);
+                            if lo >= hi {
+                                continue;
+                            }
+                            let k = self.w[self.wi(o, i, dy, dx)];
+                            let src = &row[lo + dx - 1..hi + dx - 1];
+                            for (a, &v) in acc[lo..hi].iter_mut().zip(src) {
+                                *a += k * v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The one-output-at-a-time forward pass that `forward` must match
+    /// bit for bit.
+    #[cfg(test)]
+    fn forward_scalar(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.c, self.in_c, "conv input channels");
         let mut out = Tensor::zeros(self.out_c, input.h, input.w);
         for o in 0..self.out_c {
@@ -184,6 +228,9 @@ impl Conv2d {
     }
 }
 
+/// Outputs whose sums one pass of [`Linear::forward`] interleaves.
+const LINEAR_BLOCK: usize = 4;
+
 /// Fully connected layer.
 #[derive(Debug, Clone)]
 pub struct Linear {
@@ -207,10 +254,41 @@ impl Linear {
 
     /// Forward pass.
     ///
+    /// Each output is its bias plus the left-to-right sum of its products
+    /// folded from `-0.0`, as `Sum for f64` folds. The pass interleaves the
+    /// sums of a few outputs at a time; the outputs left over sum one by
+    /// one.
+    ///
     /// # Panics
     ///
     /// Panics on input dimension mismatch.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.in_dim, "linear input dim");
+        let n = self.in_dim;
+        let mut out = Vec::with_capacity(self.out_dim);
+        let mut blocks = self.w.chunks_exact(LINEAR_BLOCK * n);
+        for block in blocks.by_ref() {
+            let rows: [&[f64]; LINEAR_BLOCK] = std::array::from_fn(|j| &block[j * n..][..n]);
+            let mut acc = [-0.0; LINEAR_BLOCK];
+            for (k, &xk) in x.iter().enumerate() {
+                for (a, row) in acc.iter_mut().zip(rows) {
+                    *a += row[k] * xk;
+                }
+            }
+            let o = out.len();
+            out.extend(self.b[o..].iter().zip(acc).map(|(b, a)| b + a));
+        }
+        for row in blocks.remainder().chunks_exact(n) {
+            let o = out.len();
+            out.push(self.b[o] + row.iter().zip(x).map(|(a, b)| a * b).sum::<f64>());
+        }
+        out
+    }
+
+    /// The one-output-at-a-time forward pass that `forward` must match
+    /// bit for bit.
+    #[cfg(test)]
+    fn forward_scalar(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.in_dim, "linear input dim");
         (0..self.out_dim)
             .map(|o| {
@@ -515,6 +593,7 @@ impl SmallCnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn tensor_indexing() {
@@ -632,6 +711,95 @@ mod tests {
         assert_eq!(e.len(), 64);
         let n = xlda_num::matrix::norm(&e);
         assert!((n - 1.0).abs() < 1e-9 || n == 0.0);
+    }
+
+    /// Bit-for-bit equality. IEEE 754 leaves NaN payloads and signs
+    /// unspecified, so any two NaNs compare equal; every other value,
+    /// signed zeros and infinities included, must match exactly.
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// `n` normal draws; with `specials > 0`, about one in
+    /// `12 / specials` is replaced by ±0.0, ±inf or NaN.
+    fn with_specials(rng: &mut Rng64, n: usize, specials: u64) -> Vec<f64> {
+        const SPECIAL: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        (0..n)
+            .map(|_| {
+                let x = rng.normal(0.0, 1.0);
+                if rng.below(12) < specials {
+                    SPECIAL[rng.below(5) as usize]
+                } else {
+                    x
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn conv_forward_matches_scalar_reference(
+            in_c in 1usize..4,
+            out_c in 1usize..4,
+            h in 1usize..7,
+            w in 1usize..7,
+            specials in 0u64..4,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Rng64::new(seed);
+            let mut conv = Conv2d::new(in_c, out_c, &mut rng);
+            conv.w = with_specials(&mut rng, conv.w.len(), specials);
+            conv.b = with_specials(&mut rng, out_c, specials);
+            let input = Tensor::from_vec(in_c, h, w, with_specials(&mut rng, in_c * h * w, specials));
+            let out = conv.forward(&input);
+            prop_assert_eq!((out.c, out.h, out.w), (out_c, h, w));
+            prop_assert!(same_bits(&out.data, &conv.forward_scalar(&input).data));
+        }
+
+        #[test]
+        fn linear_forward_matches_scalar_reference(
+            in_dim in 1usize..20,
+            out_dim in 1usize..15,
+            specials in 0u64..4,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Rng64::new(seed);
+            let mut lin = Linear::new(in_dim, out_dim, &mut rng);
+            lin.w = with_specials(&mut rng, lin.w.len(), specials);
+            lin.b = with_specials(&mut rng, out_dim, specials);
+            let x = with_specials(&mut rng, in_dim, specials);
+            prop_assert!(same_bits(&lin.forward(&x), &lin.forward_scalar(&x)));
+        }
+    }
+
+    #[test]
+    fn negative_zero_sums_keep_their_sign() {
+        // A -0.0 bias plus only -0.0 products stays -0.0 in both passes: a
+        // sum started from +0.0, or border padding added as w * 0.0,
+        // would turn it into +0.0.
+        for (h, w) in [(1, 1), (1, 5), (4, 1), (3, 4)] {
+            let mut conv = Conv2d::new(2, 3, &mut Rng64::new(9));
+            conv.w = vec![1.0; conv.w.len()];
+            conv.b = vec![-0.0; 3];
+            let input = Tensor::from_vec(2, h, w, vec![-0.0; 2 * h * w]);
+            let out = conv.forward(&input);
+            assert!(same_bits(&out.data, &conv.forward_scalar(&input).data));
+            assert!(out.data.iter().all(|v| v.to_bits() == (-0.0f64).to_bits()));
+        }
+        for out_dim in [1, 4, 7] {
+            let mut lin = Linear::new(6, out_dim, &mut Rng64::new(10));
+            lin.w = vec![2.0; lin.w.len()];
+            lin.b = vec![-0.0; out_dim];
+            let x = vec![-0.0; 6];
+            let y = lin.forward(&x);
+            assert!(same_bits(&y, &lin.forward_scalar(&x)));
+            assert!(y.iter().all(|v| v.to_bits() == (-0.0f64).to_bits()));
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property-based tests for the MANN stack.
 
 use proptest::prelude::*;
+use xlda_datagen::fewshot::FewShotSpec;
 use xlda_mann::am::{SignatureAm, SoftwareAm};
+use xlda_mann::controller::{train_controller, TrainConfig};
 use xlda_mann::lsh::{Hasher, SoftwareLsh};
 use xlda_mann::nn::{softmax, SmallCnn, Tensor};
 use xlda_num::rng::Rng64;
@@ -111,4 +113,42 @@ proptest! {
             let _ = label;
         }
     }
+}
+
+/// FNV-1a over the bit patterns of `xs`.
+fn fnv_bits(xs: &[f64]) -> u64 {
+    xs.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        x.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    })
+}
+
+#[test]
+fn trained_controller_keeps_its_bits() {
+    // Digests recorded from the one-output-at-a-time CNN: the blocked
+    // convolution and linear passes may not move a bit of training or
+    // of the embeddings.
+    let data = FewShotSpec {
+        background_classes: 6,
+        eval_classes: 4,
+        samples_per_class: 6,
+        ..FewShotSpec::default()
+    }
+    .generate();
+    let (net, acc) = train_controller(
+        &data,
+        &TrainConfig {
+            epochs: 2,
+            ..TrainConfig::default()
+        },
+    );
+    let mut outputs = Vec::new();
+    for img in data.eval.iter().flatten() {
+        outputs.extend(net.embed(img));
+        outputs.extend(net.logits(img));
+    }
+    assert_eq!(fnv_bits(&outputs), 0xe076_3128_cc37_22bc);
+    assert_eq!(acc.to_bits(), 1.0f64.to_bits());
 }

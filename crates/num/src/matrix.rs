@@ -5,6 +5,25 @@
 
 use crate::rng::Rng64;
 
+/// Samples that one pass of [`Matrix::matvec_rows`] over a row tile
+/// serves.
+const SAMPLE_BLOCK: usize = 8;
+
+/// Matrix rows per tile of [`Matrix::matvec_rows`].
+const ROW_BLOCK: usize = 2;
+
+/// `matvec`'s sum for one row: left to right from `+0.0`, one product at
+/// a time. Every matrix–vector kernel here computes each output with it
+/// or with the same additions in the same order.
+#[inline]
+fn row_dot(row: &[f64], x: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (a, b) in row.iter().zip(x) {
+        acc += a * b;
+    }
+    acc
+}
+
 /// A dense row-major matrix of `f64`.
 ///
 /// # Examples
@@ -172,13 +191,83 @@ impl Matrix {
         let mut y = vec![0.0; self.rows];
         for (r, yr) in y.iter_mut().enumerate() {
             let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x) {
-                acc += a * b;
-            }
-            *yr = acc;
+            *yr = row_dot(row, x);
         }
         y
+    }
+
+    /// Matrix–vector products `self * x` for every row `x` of the
+    /// row-major block `xs`: row `s` of the result equals
+    /// `self.matvec(&xs[s * cols..(s + 1) * cols])` bit for bit.
+    ///
+    /// Every output is the same left-to-right sum from `+0.0` that
+    /// [`matvec`](Matrix::matvec) computes; the kernel only interleaves
+    /// the sums of different samples and rows, so one pass over the
+    /// matrix serves a whole block of samples. Samples and rows left over
+    /// from the blocks take `matvec`'s scalar path.
+    ///
+    /// ```
+    /// use xlda_num::Matrix;
+    ///
+    /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
+    /// let y = a.matvec_rows(&[1.0, 1.0, 0.5, -1.0]);
+    /// assert_eq!(y.row(0), a.matvec(&[1.0, 1.0]));
+    /// assert_eq!(y.row(1), a.matvec(&[0.5, -1.0]));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is empty or its length is not a multiple of `cols`.
+    pub fn matvec_rows(&self, xs: &[f64]) -> Matrix {
+        let cols = self.cols;
+        assert!(
+            !xs.is_empty() && xs.len().is_multiple_of(cols),
+            "matvec_rows dimension mismatch"
+        );
+        let mut out = Matrix::zeros(xs.len() / cols, self.rows);
+        // The current sample block, column-major: entry `k` holds the
+        // block's inputs at column `k`, one per sample.
+        let mut block = vec![[0.0; SAMPLE_BLOCK]; cols];
+        let mut groups = xs.chunks_exact(SAMPLE_BLOCK * cols);
+        for (g, group) in groups.by_ref().enumerate() {
+            for (s, x) in group.chunks_exact(cols).enumerate() {
+                for (lane, &v) in block.iter_mut().zip(x) {
+                    lane[s] = v;
+                }
+            }
+            let first = g * SAMPLE_BLOCK;
+            let mut tiles = self.data.chunks_exact(ROW_BLOCK * cols);
+            for (t, tile) in tiles.by_ref().enumerate() {
+                let w: [&[f64]; ROW_BLOCK] = std::array::from_fn(|r| &tile[r * cols..][..cols]);
+                let mut acc = [[0.0; SAMPLE_BLOCK]; ROW_BLOCK];
+                for (k, lane) in block.iter().enumerate() {
+                    for (acc_r, w_r) in acc.iter_mut().zip(w) {
+                        let a = w_r[k];
+                        for (y, &x) in acc_r.iter_mut().zip(lane) {
+                            *y += a * x;
+                        }
+                    }
+                }
+                for (r, acc_r) in acc.iter().enumerate() {
+                    for (s, &y) in acc_r.iter().enumerate() {
+                        out.data[(first + s) * self.rows + t * ROW_BLOCK + r] = y;
+                    }
+                }
+            }
+            let done = self.rows - tiles.remainder().len() / cols;
+            for (r, row) in tiles.remainder().chunks_exact(cols).enumerate() {
+                for (s, x) in group.chunks_exact(cols).enumerate() {
+                    out.data[(first + s) * self.rows + done + r] = row_dot(row, x);
+                }
+            }
+        }
+        let first = (xs.len() - groups.remainder().len()) / cols;
+        for (s, x) in groups.remainder().chunks_exact(cols).enumerate() {
+            for (r, row) in self.data.chunks_exact(cols).enumerate() {
+                out.data[(first + s) * self.rows + r] = row_dot(row, x);
+            }
+        }
+        out
     }
 
     /// Vector–matrix product `x^T * self` (length = cols).
@@ -313,8 +402,17 @@ pub fn norm(a: &[f64]) -> f64 {
 ///
 /// Panics if the lengths differ.
 pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
-    let na = norm(a);
-    let nb = norm(b);
+    cosine_with_norms(a, b, norm(a), norm(b))
+}
+
+/// [`cosine_similarity`] with the norms `na = norm(a)` and `nb = norm(b)`
+/// supplied by the caller, for searches that reuse them across many
+/// pairs; returns 0.0 when either norm is zero.
+///
+/// # Panics
+///
+/// Panics if both norms are nonzero and the lengths differ.
+pub fn cosine_with_norms(a: &[f64], b: &[f64], na: f64, nb: f64) -> f64 {
     if na == 0.0 || nb == 0.0 {
         return 0.0;
     }

@@ -169,3 +169,66 @@ proptest! {
         }
     }
 }
+
+/// Bit-for-bit equality. IEEE 754 leaves NaN payloads and signs
+/// unspecified, so any two NaNs compare equal; every other value,
+/// signed zeros and infinities included, must match exactly.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// `n` normal draws; with `specials > 0`, about one in `12 / specials`
+/// is replaced by ±0.0, ±inf or NaN.
+fn with_specials(rng: &mut Rng64, n: usize, specials: u64) -> Vec<f64> {
+    const SPECIAL: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    (0..n)
+        .map(|_| {
+            let x = rng.normal(0.0, 2.0);
+            if rng.below(12) < specials {
+                SPECIAL[rng.below(5) as usize]
+            } else {
+                x
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn matvec_rows_matches_matvec_bit_for_bit(
+        rows in 1usize..21,
+        cols in 1usize..13,
+        samples in 1usize..35,
+        specials in 0u64..4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = Rng64::new(seed);
+        let m = Matrix::from_vec(rows, cols, with_specials(&mut rng, rows * cols, specials));
+        let xs = with_specials(&mut rng, samples * cols, specials);
+        let y = m.matvec_rows(&xs);
+        prop_assert_eq!((y.rows(), y.cols()), (samples, rows));
+        for (s, x) in xs.chunks_exact(cols).enumerate() {
+            prop_assert!(same_bits(y.row(s), &m.matvec(x)), "sample {s} of {samples}");
+        }
+    }
+}
+
+#[test]
+fn matvec_rows_one_column_and_signed_zeros() {
+    // One column, block-sized and ragged sample counts: every product is
+    // -0.0, and both paths sum from +0.0, so every output is +0.0.
+    for samples in [1, 7, 8, 9, 17] {
+        let m = Matrix::filled(5, 1, 1.0);
+        let xs = vec![-0.0; samples];
+        let y = m.matvec_rows(&xs);
+        for s in 0..samples {
+            assert!(same_bits(y.row(s), &m.matvec(&xs[s..s + 1])));
+            assert!(y.row(s).iter().all(|v| v.to_bits() == 0.0f64.to_bits()));
+        }
+    }
+}
