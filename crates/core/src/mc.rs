@@ -476,6 +476,7 @@ impl MannAccuracyMcScenario {
     pub fn outcomes_with(&self, opts: &SweepOptions) -> Result<Vec<Vec<f64>>, XldaError> {
         self.validate()?;
         let dev = Rram::taox();
+        let hrs = dev.hrs_sampler();
         let bits = self.hash_bits;
         let decades = self.relax_decades;
         let read_noise = self.read_noise;
@@ -499,8 +500,8 @@ impl MannAccuracyMcScenario {
                         if err.is_some() {
                             return;
                         }
-                        let g_pos = dev.sample_stochastic_hrs(rng);
-                        let g_neg = dev.sample_stochastic_hrs(rng);
+                        let g_pos = hrs.sample(rng);
+                        let g_neg = hrs.sample(rng);
                         let d0 = g_pos - g_neg;
                         let relaxed = dev
                             .try_relax(g_pos, decades, rng)

@@ -44,9 +44,10 @@ impl StochasticProjection {
             "projection dimensions must be positive"
         );
         let mut g = Matrix::zeros(dim, 2 * bits);
+        let hrs = device.hrs_sampler();
         for i in 0..dim {
             for j in 0..2 * bits {
-                *g.at_mut(i, j) = device.sample_stochastic_hrs(rng);
+                *g.at_mut(i, j) = hrs.sample(rng);
             }
         }
         Self {

@@ -173,9 +173,18 @@ impl Rram {
     /// in-memory LSH scheme uses an array of such as-fabricated devices as
     /// a zero-mean-adjustable random projection matrix.
     pub fn sample_stochastic_hrs(&self, rng: &mut Rng64) -> f64 {
-        let mu = (4.0 * self.g_min).ln();
-        let g = rng.log_normal(mu, 0.6);
-        g.clamp(self.g_min, self.g_max)
+        self.hrs_sampler().sample(rng)
+    }
+
+    /// The distribution [`sample_stochastic_hrs`](Rram::sample_stochastic_hrs)
+    /// draws from, with its log-mean computed once: loops that draw many
+    /// conductances from one device take this once and sample from it.
+    pub fn hrs_sampler(&self) -> HrsSampler {
+        HrsSampler {
+            mu: (4.0 * self.g_min).ln(),
+            g_min: self.g_min,
+            g_max: self.g_max,
+        }
     }
 
     /// Multi-level cell over the full conductance window (naive uniform
@@ -251,6 +260,24 @@ impl Rram {
             h.write_u64(v.to_bits());
         }
         h.finish()
+    }
+}
+
+/// One device's stochastic HRS conductance distribution: log-normal
+/// around `4 g_min` with a log-sigma of 0.6, clipped to the programmable
+/// window. Built by [`Rram::hrs_sampler`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HrsSampler {
+    mu: f64,
+    g_min: f64,
+    g_max: f64,
+}
+
+impl HrsSampler {
+    /// Draws one conductance (S).
+    pub fn sample(&self, rng: &mut Rng64) -> f64 {
+        let g = rng.log_normal(self.mu, 0.6);
+        g.clamp(self.g_min, self.g_max)
     }
 }
 
