@@ -743,10 +743,9 @@ impl Scenario for MannScenario {
 /// preserving input order, with per-point error/panic containment.
 ///
 /// Each point evaluates through [`Scenario::candidates`] on the
-/// work-stealing engine ([`par_try_map`]); a point that errors,
-/// panics, or is skipped by an expired [`SweepOptions::deadline`] is
-/// recorded with its [`PointStatus`] and message instead of lanes, so
-/// the rest of the grid still completes.
+/// work-stealing engine ([`par_try_map`]); a point that errors or
+/// panics is recorded with its [`PointStatus`] and message instead of
+/// lanes, so the rest of the grid still completes.
 pub fn sweep_scenarios<S: Scenario>(scenarios: &[S], opts: &SweepOptions) -> CandidateBatch {
     let results = par_try_map(scenarios, |s| s.candidates(), opts);
     let mut out = CandidateBatch::new();
@@ -767,9 +766,6 @@ pub fn sweep_scenarios<S: Scenario>(scenarios: &[S], opts: &SweepOptions) -> Can
             }
             Err(PointFailure::Error(e)) => out.fail_point(PointStatus::Error, e.to_string()),
             Err(PointFailure::Panicked(msg)) => out.fail_point(PointStatus::Panicked, msg),
-            Err(e @ PointFailure::DeadlineExceeded) => {
-                out.fail_point(PointStatus::DeadlineExceeded, e.to_string());
-            }
         }
     }
     out
@@ -927,7 +923,7 @@ mod tests {
                 panic_on: id == 4,
             })
             .collect();
-        let out = sweep_scenarios(&grid, &SweepOptions::builder().threads(2).chunk(3).build());
+        let out = sweep_scenarios(&grid, &SweepOptions::builder().threads(2).build());
         assert_eq!(out.points(), 9);
         for p in 0..9 {
             if p == 4 {
@@ -937,26 +933,6 @@ mod tests {
                 assert_eq!(out.point_status(p), PointStatus::Ok, "point {p}");
                 assert_eq!(out.latency_s()[out.lane_range(p).start], 1.0 + p as f64);
             }
-        }
-    }
-
-    #[test]
-    fn expired_deadline_skips_every_point() {
-        let grid: Vec<HdcScenario> = (0..4).map(|_| HdcScenario::default()).collect();
-        let out = sweep_scenarios(
-            &grid,
-            &SweepOptions::builder()
-                .threads(1)
-                .deadline(std::time::Duration::ZERO)
-                .build(),
-        );
-        assert_eq!(out.points(), 4);
-        for p in 0..4 {
-            assert_eq!(out.point_status(p), PointStatus::DeadlineExceeded);
-            assert_eq!(
-                out.point_message(p),
-                Some("sweep deadline expired before evaluation")
-            );
         }
     }
 

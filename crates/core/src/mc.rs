@@ -151,10 +151,8 @@ fn fraction_candidate(name: &str, fraction: f64) -> Result<Candidate, XldaError>
 /// `eval` is called once per batch with the batch's per-trial RNG
 /// streams and one scratch column per output (pre-sized to the batch
 /// length); it must fill every column slot and draw only from the
-/// batch's own streams so results stay chunking-invariant. Scheduling
-/// (worker count, sweep chunking of the batch list) comes
-/// from `opts`; any deadline in `opts` is ignored — an MC population is
-/// all-or-nothing, deadlines belong to the serving layer.
+/// batch's own streams so results stay chunking-invariant. The worker
+/// count comes from `opts`.
 ///
 /// # Errors
 ///
@@ -181,10 +179,6 @@ where
         .step_by(batch)
         .map(|s| (s as u64, batch.min(trials - s)))
         .collect();
-    let opts = SweepOptions {
-        deadline: None,
-        ..*opts
-    };
     let per_batch = par_try_map(
         &ranges,
         |&(start, len)| {
@@ -198,7 +192,7 @@ where
             );
             Ok(cols)
         },
-        &opts,
+        opts,
     );
     let mut out: Vec<Vec<f64>> = (0..outputs).map(|_| Vec::with_capacity(trials)).collect();
     for r in per_batch {
@@ -210,8 +204,6 @@ where
             }
             Err(PointFailure::Error(e)) => return Err(e),
             Err(PointFailure::Panicked(msg)) => panic!("mc trial batch panicked: {msg}"),
-            // Stripped above; an MC population is never partially run.
-            Err(PointFailure::DeadlineExceeded) => unreachable!("mc strips sweep deadlines"),
         }
     }
     Ok(out)

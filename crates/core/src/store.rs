@@ -38,23 +38,13 @@
 //! constructor or evaluator changes numerically: every existing store
 //! then resets itself (truncates to a fresh header) on next open
 //! instead of serving stale FOMs. See DESIGN.md §13.
-//!
-//! # Stats plumbing
-//!
-//! [`attach`] registers the process-global store with the memo registry
-//! under `core.result_store`, so its hit/miss/entry counters appear in
-//! every existing `CacheSnapshot` consumer (sweep stats, the serve
-//! `stats`/`metrics` endpoints) with **no** new plumbing. The clear
-//! hook is a no-op on purpose: `memo::clear_all()` resets *derivation*
-//! caches between measurements; the durable result store is cleared
-//! only by deleting its file.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once, RwLock};
+use std::sync::{Mutex, RwLock};
 
 use crate::error::XldaError;
 use crate::evaluate::{Evaluation, Scenario};
@@ -782,36 +772,6 @@ impl ResultStore {
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Global attachment (CacheSnapshot plumbing)
-// ---------------------------------------------------------------------------
-
-static GLOBAL: RwLock<Option<Arc<ResultStore>>> = RwLock::new(None);
-static REGISTER: Once = Once::new();
-
-/// Installs `store` as the process-global result store and registers it
-/// with the memo registry as `core.result_store`, so its hit/miss/entry
-/// counters surface through every existing [`memo::CacheSnapshot`]
-/// consumer (sweep stats, serve `stats`/`metrics`). The registered
-/// clear hook is a no-op: `memo::clear_all()` resets derivation caches,
-/// not durable results.
-pub fn attach(store: Arc<ResultStore>) {
-    REGISTER.call_once(|| {
-        memo::register(
-            "core.result_store",
-            || match &*GLOBAL.read().unwrap_or_else(|e| e.into_inner()) {
-                Some(s) => {
-                    let st = s.stats();
-                    (st.hits, st.misses, st.entries)
-                }
-                None => (0, 0, 0),
-            },
-            || {},
-        );
-    });
-    *GLOBAL.write().unwrap_or_else(|e| e.into_inner()) = Some(store);
 }
 
 // ---------------------------------------------------------------------------

@@ -32,17 +32,17 @@ pub use xlda_num::memo;
 pub use xlda_num::memo::CacheSnapshot;
 pub use xlda_obs::span::SpanAgg;
 
-/// Target number of work-unit steals per worker when `chunk == 0`: the
-/// auto chunk is sized as `points / (threads * TARGET_STEALS_PER_WORKER)`
-/// so load imbalance is bounded by ~1/8 of a worker's share.
+/// Target number of work-unit steals per worker: the chunk is sized as
+/// `points / (threads * TARGET_STEALS_PER_WORKER)` so load imbalance is
+/// bounded by ~1/8 of a worker's share.
 pub const TARGET_STEALS_PER_WORKER: usize = 8;
 
-/// Smallest chunk the `chunk == 0` heuristic will pick: one point per
-/// steal (tiny inputs degrade to pure self-scheduling).
+/// Smallest chunk the sizing heuristic will pick: one point per steal
+/// (tiny inputs degrade to pure self-scheduling).
 pub const MIN_AUTO_CHUNK: usize = 1;
 
-/// Largest chunk the `chunk == 0` heuristic will pick, bounding the
-/// work a single steal can strand behind one slow point on huge inputs.
+/// Largest chunk the sizing heuristic will pick, bounding the work a
+/// single steal can strand behind one slow point on huge inputs.
 pub const MAX_AUTO_CHUNK: usize = 256;
 
 /// Sweep engine tuning knobs.
@@ -55,8 +55,6 @@ pub const MAX_AUTO_CHUNK: usize = 256;
 #[non_exhaustive]
 pub struct SweepOptions {
     pub(crate) threads: usize,
-    pub(crate) chunk: usize,
-    pub(crate) deadline: Option<Duration>,
 }
 
 impl SweepOptions {
@@ -65,16 +63,10 @@ impl SweepOptions {
     /// # Examples
     ///
     /// ```
-    /// use std::time::Duration;
     /// use xlda_core::sweep::SweepOptions;
     ///
-    /// let opts = SweepOptions::builder()
-    ///     .threads(4)
-    ///     .chunk(16)
-    ///     .deadline(Duration::from_millis(250))
-    ///     .build();
+    /// let opts = SweepOptions::builder().threads(4).build();
     /// assert_eq!(opts.threads(), 4);
-    /// assert_eq!(opts.deadline(), Some(Duration::from_millis(250)));
     /// ```
     pub fn builder() -> SweepOptionsBuilder {
         SweepOptionsBuilder {
@@ -87,24 +79,6 @@ impl SweepOptions {
         self.threads
     }
 
-    /// Points per stolen work unit; `0` picks a chunk that gives each
-    /// worker ~[`TARGET_STEALS_PER_WORKER`] steals (clamped to
-    /// [`MIN_AUTO_CHUNK`]`..=`[`MAX_AUTO_CHUNK`]).
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-
-    /// Wall-clock budget for the whole sweep, measured from the moment
-    /// the sweep entry point is called. Honored by the *fallible* path
-    /// ([`par_try_map`]): points whose evaluation has not started when
-    /// the budget expires yield [`PointFailure::DeadlineExceeded`]
-    /// instead of being evaluated. The infallible paths ignore it (a
-    /// skipped point has no representable outcome there). `None` (the
-    /// default) never expires.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
     fn resolve_threads(&self, points: usize) -> usize {
         let t = if self.threads == 0 {
             std::thread::available_parallelism()
@@ -115,14 +89,12 @@ impl SweepOptions {
         };
         t.clamp(1, points.max(1))
     }
+}
 
-    fn resolve_chunk(&self, points: usize, threads: usize) -> usize {
-        if self.chunk > 0 {
-            self.chunk
-        } else {
-            (points / (threads * TARGET_STEALS_PER_WORKER)).clamp(MIN_AUTO_CHUNK, MAX_AUTO_CHUNK)
-        }
-    }
+/// Points per stolen work unit: ~[`TARGET_STEALS_PER_WORKER`] steals per
+/// worker, clamped to [`MIN_AUTO_CHUNK`]`..=`[`MAX_AUTO_CHUNK`].
+fn chunk_size(points: usize, threads: usize) -> usize {
+    (points / (threads * TARGET_STEALS_PER_WORKER)).clamp(MIN_AUTO_CHUNK, MAX_AUTO_CHUNK)
 }
 
 /// Builder for [`SweepOptions`] (see [`SweepOptions::builder`]).
@@ -135,18 +107,6 @@ impl SweepOptionsBuilder {
     /// Sets the worker-thread count (`0` = available parallelism).
     pub fn threads(mut self, threads: usize) -> Self {
         self.opts.threads = threads;
-        self
-    }
-
-    /// Sets the steal chunk size (`0` = auto heuristic).
-    pub fn chunk(mut self, chunk: usize) -> Self {
-        self.opts.chunk = chunk;
-        self
-    }
-
-    /// Sets the sweep wall-clock deadline.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.opts.deadline = Some(deadline);
         self
     }
 
@@ -176,7 +136,7 @@ where
         // instead of paying a thread spawn and join per sweep.
         return inputs.iter().map(f).collect();
     }
-    let chunk = opts.resolve_chunk(inputs.len(), threads);
+    let chunk = chunk_size(inputs.len(), threads);
     let cursor = AtomicUsize::new(0);
     let work = || {
         let mut mine: Vec<(usize, Vec<O>)> = Vec::new();
@@ -205,7 +165,7 @@ where
 }
 
 /// Evaluates `f` over `inputs` in parallel under `opts`, preserving
-/// order. [`SweepOptions::deadline`] is ignored.
+/// order.
 ///
 /// The closure runs on scoped threads, so it may borrow from the
 /// caller's stack. A panic in any point is contained at the point
@@ -256,9 +216,6 @@ pub enum PointFailure<E> {
     /// The evaluator panicked on this point; the payload message is
     /// preserved when it was a string.
     Panicked(String),
-    /// The sweep's [`SweepOptions::deadline`] expired before this
-    /// point's evaluation started; the point was skipped, not evaluated.
-    DeadlineExceeded,
 }
 
 impl<E: std::fmt::Display> std::fmt::Display for PointFailure<E> {
@@ -266,9 +223,6 @@ impl<E: std::fmt::Display> std::fmt::Display for PointFailure<E> {
         match self {
             PointFailure::Error(e) => write!(f, "{e}"),
             PointFailure::Panicked(msg) => write!(f, "evaluator panicked: {msg}"),
-            PointFailure::DeadlineExceeded => {
-                write!(f, "sweep deadline expired before evaluation")
-            }
         }
     }
 }
@@ -293,14 +247,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// typed evaluator error, or `Err(PointFailure::Panicked(msg))` if the
 /// evaluator panicked on that point — the panic is caught at the point
 /// boundary, so the rest of the sweep still completes.
-///
-/// When [`SweepOptions::deadline`] is set, the budget is measured from
-/// this call: any point whose evaluation has not *started* when it
-/// expires is skipped and reported as
-/// [`PointFailure::DeadlineExceeded`]. Points already being evaluated
-/// run to completion — the engine never interrupts an evaluator, it
-/// stops admitting new ones, so a sweep overshoots by at most one point
-/// per worker.
 ///
 /// # Examples
 ///
@@ -328,13 +274,9 @@ where
     E: Send,
     F: Fn(&I) -> Result<O, E> + Sync,
 {
-    let expires_at = opts.deadline.map(|d| Instant::now() + d);
     dispatch(
         inputs,
         |input| {
-            if expires_at.is_some_and(|t| Instant::now() >= t) {
-                return Err(PointFailure::DeadlineExceeded);
-            }
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(input)))
                 .map_err(panic_message)
                 .map_or_else(
@@ -490,8 +432,8 @@ mod tests {
         let expect: Vec<u64> = inputs.iter().map(|&x| x.wrapping_mul(x) ^ 7).collect();
         for opts in [
             SweepOptions::default(),
-            SweepOptions::builder().threads(3).chunk(5).build(),
-            SweepOptions::builder().threads(8).chunk(1).build(),
+            SweepOptions::builder().threads(3).build(),
+            SweepOptions::builder().threads(8).build(),
         ] {
             let out = par_map(&inputs, |&x| x.wrapping_mul(x) ^ 7, &opts);
             assert_eq!(out, expect, "options {opts:?}");
@@ -565,11 +507,9 @@ mod tests {
         assert_eq!(e.to_string(), "infeasible");
         let p: PointFailure<&str> = PointFailure::Panicked("boom".into());
         assert!(p.to_string().contains("panicked"));
-        let d: PointFailure<&str> = PointFailure::DeadlineExceeded;
-        assert!(d.to_string().contains("deadline"));
     }
 
-    /// Pins the `chunk == 0` heuristic the serving layer relies on:
+    /// Pins the chunk-sizing heuristic:
     /// `points / (threads * TARGET_STEALS_PER_WORKER)` clamped to
     /// `MIN_AUTO_CHUNK..=MAX_AUTO_CHUNK` — ~8 steals per worker, never 0,
     /// never more than 256 points behind one steal.
@@ -578,56 +518,19 @@ mod tests {
         assert_eq!(TARGET_STEALS_PER_WORKER, 8);
         assert_eq!(MIN_AUTO_CHUNK, 1);
         assert_eq!(MAX_AUTO_CHUNK, 256);
-        let auto = SweepOptions::default();
         // Mid-range: exact ~8-steals sizing.
-        assert_eq!(auto.resolve_chunk(6400, 4), 6400 / (4 * 8));
-        assert_eq!(auto.resolve_chunk(1024, 8), 1024 / (8 * 8));
+        assert_eq!(chunk_size(6400, 4), 6400 / (4 * 8));
+        assert_eq!(chunk_size(1024, 8), 1024 / (8 * 8));
         // Tiny inputs clamp up to one point per steal, never zero.
-        assert_eq!(auto.resolve_chunk(1, 8), MIN_AUTO_CHUNK);
-        assert_eq!(auto.resolve_chunk(7, 1), MIN_AUTO_CHUNK);
+        assert_eq!(chunk_size(1, 8), MIN_AUTO_CHUNK);
+        assert_eq!(chunk_size(7, 1), MIN_AUTO_CHUNK);
         // Huge inputs clamp down so one steal never strands >256 points.
-        assert_eq!(auto.resolve_chunk(1_000_000, 2), MAX_AUTO_CHUNK);
-        // An explicit chunk bypasses the heuristic entirely.
-        let explicit = SweepOptions::builder().chunk(42).build();
-        assert_eq!(explicit.resolve_chunk(1_000_000, 2), 42);
+        assert_eq!(chunk_size(1_000_000, 2), MAX_AUTO_CHUNK);
     }
 
     #[test]
     fn builder_defaults_match_default() {
         assert_eq!(SweepOptions::builder().build(), SweepOptions::default());
-    }
-
-    #[test]
-    fn expired_deadline_skips_unstarted_points() {
-        let inputs: Vec<u32> = (0..64).collect();
-        let opts = SweepOptions::builder().deadline(Duration::ZERO).build();
-        let out: Vec<Result<u32, PointFailure<&str>>> = par_try_map(&inputs, |&x| Ok(x), &opts);
-        assert_eq!(out.len(), 64);
-        assert!(
-            out.iter()
-                .all(|r| matches!(r, Err(PointFailure::DeadlineExceeded))),
-            "an already-expired deadline admits no points"
-        );
-    }
-
-    #[test]
-    fn generous_deadline_changes_nothing() {
-        let inputs: Vec<u32> = (0..64).collect();
-        let opts = SweepOptions::builder()
-            .deadline(Duration::from_secs(3600))
-            .build();
-        let out: Vec<Result<u32, PointFailure<&str>>> = par_try_map(&inputs, |&x| Ok(x * 2), &opts);
-        let expect: Vec<Result<u32, PointFailure<&str>>> =
-            inputs.iter().map(|&x| Ok(x * 2)).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn infallible_paths_ignore_the_deadline() {
-        let inputs: Vec<u32> = (0..16).collect();
-        let opts = SweepOptions::builder().deadline(Duration::ZERO).build();
-        let out = par_map(&inputs, |&x| x + 1, &opts);
-        assert_eq!(out, (1..17).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! a previous sweep. These properties drive the full cross-layer
 //! evaluation stack over random scenario grids and compare raw bit
 //! patterns across the three regimes, and sweep the same grids through
-//! [`sweep_scenarios`] at several worker/chunk shapes with the memo on
+//! [`sweep_scenarios`] at several worker counts with the memo on
 //! and off.
 //!
 //! All tests toggling the process-global memo switch live in this one
@@ -76,9 +76,9 @@ fn assert_transparent<I>(grid: &[I], eval: impl Fn(&I) -> Vec<u64>) -> Result<()
     Ok(())
 }
 
-/// Sweeps `grid` through [`sweep_scenarios`] at threads {1, 2, 3} ×
-/// chunk {0, 1, 7}, memo off (cleared) then on, and asserts every batch
-/// matches the first: same checksum, same status and message per point.
+/// Sweeps `grid` through [`sweep_scenarios`] at threads {1, 2, 3}, memo
+/// off (cleared) then on, and asserts every batch matches the first:
+/// same checksum, same status and message per point.
 /// Restores the memo switch to enabled before asserting.
 fn assert_sweeps_agree<S: Scenario>(grid: &[S]) -> Result<(), TestCaseError> {
     let _guard = MEMO_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -87,14 +87,9 @@ fn assert_sweeps_agree<S: Scenario>(grid: &[S]) -> Result<(), TestCaseError> {
         memo::clear_all();
         memo::set_enabled(memo_on);
         for threads in [1usize, 2, 3] {
-            for chunk in [0usize, 1, 7] {
-                let opts = SweepOptions::builder()
-                    .threads(threads)
-                    .chunk(chunk)
-                    .build();
-                let label = format!("memo {memo_on}, threads {threads}, chunk {chunk}");
-                runs.push((label, sweep_scenarios(grid, &opts)));
-            }
+            let opts = SweepOptions::builder().threads(threads).build();
+            let label = format!("memo {memo_on}, threads {threads}");
+            runs.push((label, sweep_scenarios(grid, &opts)));
         }
     }
     memo::set_enabled(true);

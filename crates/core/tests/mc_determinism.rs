@@ -1,9 +1,9 @@
 //! Chunking-invariance property tests for the Monte-Carlo scenarios.
 //!
 //! The MC engine's core contract is that results are a pure function of
-//! `(seed, trial_index)` — bit-identical for any batch size, worker
-//! count, or sweep chunking. These tests pin that contract across all
-//! three scenario kinds and several sweep shapes, including a full
+//! `(seed, trial_index)` — bit-identical for any batch size or worker
+//! count. These tests pin that contract across all three scenario kinds
+//! and several batch × thread shapes, including a full
 //! `evaluate()` equality check (summaries, yields, checksums, and the
 //! quantile-derived candidates all match, not just the raw columns).
 
@@ -27,22 +27,14 @@ fn mc(seed: u64, batch: usize) -> McParams {
 }
 
 fn arms() -> Vec<SweepOptions> {
-    let mut out = Vec::new();
-    for threads in [1usize, 2, 4] {
-        for chunk in [0usize, 1, 7] {
-            out.push(
-                SweepOptions::builder()
-                    .threads(threads)
-                    .chunk(chunk)
-                    .build(),
-            );
-        }
-    }
-    out
+    [1usize, 2, 4]
+        .map(|threads| SweepOptions::builder().threads(threads).build())
+        .to_vec()
 }
 
-/// Runs `outcomes_with` for every (threads, sweep-chunk, batch) arm and asserts the columns are bit-identical to the
-/// single-threaded default-batch reference.
+/// Runs `outcomes_with` for every (threads, batch) arm and asserts the
+/// columns are bit-identical to the single-threaded default-batch
+/// reference.
 fn assert_invariant<S, F>(seed: u64, build: F)
 where
     S: Scenario,

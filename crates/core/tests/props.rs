@@ -145,20 +145,12 @@ mod sweep_props {
         fn work_stealing_schedule_never_reorders_output(
             xs in prop::collection::vec(-1e6f64..1e6, 0..300),
             threads in 1usize..9,
-            chunk in 1usize..33,
         ) {
             // Work-stealing hands out chunks in racy claim order; the
             // engine must still return results in input order, exactly
             // matching a sequential map.
             let f = |&x: &f64| x.sin() * x + 1.0;
-            let stealing = par_map(
-                &xs,
-                f,
-                &SweepOptions::builder()
-                    .threads(threads)
-                    .chunk(chunk)
-                    .build(),
-            );
+            let stealing = par_map(&xs, f, &SweepOptions::builder().threads(threads).build());
             let seq: Vec<f64> = xs.iter().map(f).collect();
             prop_assert_eq!(&stealing, &seq);
         }

@@ -35,8 +35,6 @@ pub enum PointStatus {
     Error,
     /// The evaluator panicked; the panic was contained to this point.
     Panicked,
-    /// The sweep deadline expired before this point was evaluated.
-    DeadlineExceeded,
 }
 
 /// Structure-of-arrays candidate storage for one sweep.

@@ -125,7 +125,7 @@ impl CacheStats {
     }
 }
 
-/// A concurrent memoization cache split into [`SHARDS`] lock shards.
+/// A concurrent memoization cache split into 16 lock shards.
 ///
 /// Values are cloned out; under a racing double-compute the first stored
 /// value wins, keeping results deterministic for pure evaluators.

@@ -1,10 +1,10 @@
 //! Per-request flight recorder: stage-timestamped request traces with a
 //! tail-sampling retention policy.
 //!
-//! Aggregate instruments ([`crate::metrics`], [`crate::span`]) answer
-//! "what is p95"; this module answers "which request *was* the p95, and
-//! where did its time go" — interactively, without replaying load under
-//! a profiler.
+//! Aggregate instruments ([`crate::metrics`],
+//! [`crate::span`](mod@crate::span)) answer "what is p95"; this module
+//! answers "which request *was* the p95, and where did its time go" —
+//! interactively, without replaying load under a profiler.
 //!
 //! Three pieces:
 //!
@@ -46,9 +46,10 @@ pub const SLOW_MULT: u64 = 8;
 pub enum Stage {
     /// Frame received → request parsed.
     Decode = 0,
-    /// Parsed → drained from the admission queue by a worker.
+    /// Parsed → popped from the admission queue by a worker.
     Queue = 1,
-    /// Drained → this job's evaluation starts (batch serialization).
+    /// Popped → evaluation starts (the worker's hand-off; the stage
+    /// keeps its historical name).
     Batch = 2,
     /// Evaluation + response serialization done.
     Eval = 3,
@@ -110,7 +111,7 @@ impl RequestTrace {
     }
 
     /// Records a stage boundary only if it has not been marked yet
-    /// (e.g. `Queue` is marked at batch drain by the worker, and again
+    /// (e.g. `Queue` is marked when a worker pops the job, and again
     /// defensively at evaluation start for inline fast-path requests).
     #[inline]
     pub fn mark_once(&self, stage: Stage) {

@@ -2,7 +2,7 @@
 //!
 //! Three cooperating pieces, all zero-dependency and allocation-light:
 //!
-//! * [`span`] — hierarchical spans with monotonic timing. A global
+//! * [`span`](mod@span) — hierarchical spans with monotonic timing. A global
 //!   [`span::set_enabled`] switch (mirroring `xlda_num::memo`) gates the whole
 //!   subsystem: the disabled path is a single relaxed atomic load, so
 //!   instrumented hot paths cost ~a nanosecond when profiling is off.

@@ -70,7 +70,7 @@ impl AccessLog {
     }
 
     /// Builds a log over an arbitrary sink with a custom pending-line
-    /// bound. Batches reach the sink every [`FLUSH_INTERVAL`] and at
+    /// bound. Batches reach the sink every 100 ms and at
     /// shutdown.
     pub fn with_writer(mut sink: Box<dyn Write + Send>, queue_cap: usize) -> Self {
         let inner = Arc::new(Inner {

@@ -3,7 +3,7 @@
 //!
 //! **Read side.** [`Conn`] owns the nonblocking stream and a growable
 //! read buffer. [`Conn::fill`] appends whatever the socket has;
-//! [`Conn::lines`] yields complete frames as `&str` slices borrowed
+//! [`Conn::next_line`] yields complete frames as `&str` slices borrowed
 //! straight from the buffer — framing allocates nothing per request,
 //! the JSON parser is handed a view into the connection's bytes. The
 //! consumed prefix is compacted once per readiness event, not per line.

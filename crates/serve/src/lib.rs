@@ -1,20 +1,19 @@
-//! `xlda-serve` — a batched evaluation service over the unified
+//! `xlda-serve` — an evaluation service over the unified
 //! [`Scenario`](xlda_core::evaluate::Scenario) API.
 //!
 //! The ROADMAP's north star is a system that serves sustained
 //! evaluation traffic rather than one-shot library calls. This crate
 //! puts a long-lived daemon in front of the sweep engine: requests
 //! arrive as newline-delimited JSON (TCP, or stdio for tests), pass a
-//! bounded admission queue with explicit backpressure, coalesce in a
-//! micro-batch window, and evaluate as one sweep submission on a
-//! shared worker pool with process-wide warm memo caches.
+//! bounded admission queue with explicit backpressure, and evaluate one
+//! job per dequeue on a shared worker pool with process-wide warm memo
+//! caches.
 //!
 //! Layout:
 //!
 //! - [`json`] — hand-rolled JSON with bit-exact `f64` round-tripping;
 //! - [`protocol`] — request parsing and response formatting;
-//! - [`server`] — queue → adaptive batcher → pool → drain pipeline and
-//!   the transports;
+//! - [`server`] — queue → pool → drain pipeline and the transports;
 //! - [`access_log`] — the wide-event NDJSON access log: one line per
 //!   request through a bounded writer that drops-and-counts instead of
 //!   ever blocking the event loop;

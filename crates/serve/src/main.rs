@@ -5,8 +5,7 @@
 //! xlda-serve --stdio                    # line protocol on stdio
 //! ```
 //!
-//! Options: `--queue-cap N`, `--batch-window-ms N` (saturation-test
-//! knob, default 0), `--batch-max N`, `--threads N`, `--deadline-ms N`
+//! Options: `--queue-cap N`, `--threads N`, `--deadline-ms N`
 //! (default per-request deadline), `--max-frame BYTES`, `--store PATH`
 //! (persistent result store; results survive restarts and back the
 //! `refine` request kind), `--access-log PATH` (wide-event NDJSON log,
@@ -23,9 +22,8 @@ use xlda_serve::{AccessLog, Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: xlda-serve [--stdio | --listen ADDR] [--queue-cap N] \
-         [--batch-window-ms N] [--batch-max N] [--threads N] [--deadline-ms N] \
-         [--max-frame BYTES] [--store PATH] [--access-log PATH] \
-         [--no-flight] [--flight-cap N]"
+         [--threads N] [--deadline-ms N] [--max-frame BYTES] \
+         [--store PATH] [--access-log PATH] [--no-flight] [--flight-cap N]"
     );
     exit(2);
 }
@@ -55,13 +53,6 @@ fn main() {
                 None => usage(),
             },
             "--queue-cap" => config.queue_cap = parse_num(&mut args, "--queue-cap") as usize,
-            "--batch-window-ms" => {
-                config.batch_window =
-                    Duration::from_millis(parse_num(&mut args, "--batch-window-ms"));
-            }
-            "--batch-max" => {
-                config.batch_max = (parse_num(&mut args, "--batch-max") as usize).max(1);
-            }
             "--threads" => config.threads = parse_num(&mut args, "--threads") as usize,
             "--deadline-ms" => {
                 config.default_deadline =

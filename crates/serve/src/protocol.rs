@@ -193,66 +193,66 @@ pub fn parse_request(line: &str) -> Result<Request, (String, String)> {
             None => return fail("\"deadline_ms\" must be a non-negative integer"),
         },
     };
-    let spec = v.get("scenario").cloned().unwrap_or(Json::Obj(Vec::new()));
-    if kind == "refine" {
-        let spec = parse_refine(&v, &spec).map_err(|m| (id.clone(), m))?;
-        return Ok(Request::Refine {
-            id,
-            spec,
-            deadline_ms,
-        });
-    }
-    let scenario: Box<dyn Scenario> = match kind {
+    let mut spec = v.get("scenario").cloned().unwrap_or(Json::Obj(Vec::new()));
+    let with_id = |m: String| (id.clone(), m);
+    let (base, triage) = match kind {
         "stats" => return Ok(Request::Stats { id }),
         "metrics" => return Ok(Request::Metrics { id }),
         "shutdown" => return Ok(Request::Shutdown { id }),
         "debug" => return Ok(Request::Debug { id }),
-        "hdc" | "triage" => Box::new(hdc_scenario(&spec).map_err(|m| (id.clone(), m))?),
-        "mann" => Box::new(mann_scenario(&spec).map_err(|m| (id.clone(), m))?),
-        "cam_yield_mc" => Box::new(cam_yield_mc_scenario(&spec).map_err(|m| (id.clone(), m))?),
-        "mann_mc" => Box::new(mann_mc_scenario(&spec).map_err(|m| (id.clone(), m))?),
-        "nvm_mc" => Box::new(nvm_mc_scenario(&spec).map_err(|m| (id.clone(), m))?),
-        "edge" => Box::new(EdgeScenario::new(
-            hdc_scenario(&spec).map_err(|m| (id.clone(), m))?,
-        )),
-        "tpu_nvm" => {
-            let batch = match v.get("batch") {
-                None | Some(Json::Null) => 1,
-                Some(b) => match b.as_usize() {
-                    Some(n) if n > 0 => n,
-                    _ => return fail("\"batch\" must be a positive integer"),
-                },
-            };
-            Box::new(TpuNvmScenario::new(
-                hdc_scenario(&spec).map_err(|m| (id.clone(), m))?,
-                batch,
-            ))
+        "refine" => {
+            let spec = parse_refine(&v, &spec).map_err(with_id)?;
+            return Ok(Request::Refine {
+                id,
+                spec,
+                deadline_ms,
+            });
         }
-        other => return fail(&format!("unknown kind {other:?}")),
+        // A triage request is an hdc evaluation plus a ranking.
+        "triage" => (
+            "hdc",
+            triage_spec(&v, Some(TriageObjective::LatencyFirst)).map_err(with_id)?,
+        ),
+        other => (other, None),
     };
-    let triage = if kind == "triage" {
-        let objective = match v.get("objective").and_then(Json::as_str) {
-            None | Some("latency_first") => TriageObjective::LatencyFirst,
-            Some("energy_first") => TriageObjective::EnergyFirst,
-            Some(o) => return fail(&format!("unknown objective {o:?}")),
-        };
-        let floor = match v.get("floor") {
-            None | Some(Json::Null) => None,
-            Some(f) => match f.as_f64() {
-                Some(x) if x.is_finite() => Some(x),
-                _ => return fail("\"floor\" must be a finite number"),
-            },
-        };
-        Some(TriageSpec { objective, floor })
-    } else {
-        None
-    };
+    // The top-level `tpu_nvm` batch is the spec's `batch` field.
+    if base == "tpu_nvm" {
+        if let Some(b) = v.get("batch") {
+            obj_set(&mut spec, "batch", b.clone());
+        }
+    }
+    let scenario = build_scenario(base, &spec)
+        .map_err(with_id)?
+        .ok_or_else(|| with_id(format!("unknown kind {kind:?}")))?;
     Ok(Request::Eval {
         id,
         scenario,
         triage,
         deadline_ms,
     })
+}
+
+/// Reads a request's ranking fields: `objective` (falling back to
+/// `default` when absent) and the optional iso-accuracy `floor`. `None`
+/// when no objective applies.
+fn triage_spec(v: &Json, default: Option<TriageObjective>) -> Result<Option<TriageSpec>, String> {
+    let objective = match v.get("objective").and_then(Json::as_str) {
+        None => default,
+        Some("latency_first") => Some(TriageObjective::LatencyFirst),
+        Some("energy_first") => Some(TriageObjective::EnergyFirst),
+        Some(o) => return Err(format!("unknown objective {o:?}")),
+    };
+    let Some(objective) = objective else {
+        return Ok(None);
+    };
+    let floor = match v.get("floor") {
+        None | Some(Json::Null) => None,
+        Some(f) => match f.as_f64() {
+            Some(x) if x.is_finite() => Some(x),
+            _ => return Err("\"floor\" must be a finite number".into()),
+        },
+    };
+    Ok(Some(TriageSpec { objective, floor }))
 }
 
 fn tech_node(name: &str) -> Result<TechNode, String> {
@@ -410,11 +410,11 @@ pub fn nvm_mc_scenario(spec: &Json) -> Result<NvmLifetimeMcScenario, String> {
 }
 
 /// Builds a scenario of any evaluable `base` kind from one spec object
-/// (defaults + overrides). Unlike the top-level request shape, wrapper
-/// parameters (`batch` for `tpu_nvm`) live *inside* the spec so refine
-/// grids can sweep them as axes.
-pub fn build_scenario(base: &str, spec: &Json) -> Result<Box<dyn Scenario>, String> {
-    Ok(match base {
+/// (defaults + overrides); `Ok(None)` for a kind that is not evaluable.
+/// Wrapper parameters (`batch` for `tpu_nvm`) live *inside* the spec so
+/// refine grids can sweep them as axes.
+pub fn build_scenario(base: &str, spec: &Json) -> Result<Option<Box<dyn Scenario>>, String> {
+    Ok(Some(match base {
         "hdc" => Box::new(hdc_scenario(spec)?),
         "mann" => Box::new(mann_scenario(spec)?),
         "edge" => Box::new(EdgeScenario::new(hdc_scenario(spec)?)),
@@ -429,8 +429,8 @@ pub fn build_scenario(base: &str, spec: &Json) -> Result<Box<dyn Scenario>, Stri
         "cam_yield_mc" => Box::new(cam_yield_mc_scenario(spec)?),
         "mann_mc" => Box::new(mann_mc_scenario(spec)?),
         "nvm_mc" => Box::new(nvm_mc_scenario(spec)?),
-        other => return Err(format!("unknown refine base kind {other:?}")),
-    })
+        _ => return Ok(None),
+    }))
 }
 
 /// Sets (or replaces) one key in a JSON object value.
@@ -494,7 +494,8 @@ fn parse_refine(v: &Json, base_spec: &Json) -> Result<RefineSpec, String> {
             obj_set(&mut spec, key, vals[rest % vals.len()].clone());
             rest /= vals.len();
         }
-        let scenario = build_scenario(&base, &spec)?;
+        let scenario = build_scenario(&base, &spec)?
+            .ok_or_else(|| format!("unknown refine base kind {base:?}"))?;
         let digest = scenario
             .store_key()
             .ok_or_else(|| format!("base kind {base:?} has no store key"))?;
@@ -530,23 +531,7 @@ fn parse_refine(v: &Json, base_spec: &Json) -> Result<RefineSpec, String> {
         }
         Some(other) => return Err(format!("unknown refine mode {other:?}")),
     };
-    let triage = match v.get("objective").and_then(Json::as_str) {
-        None => None,
-        Some("latency_first") => Some(TriageObjective::LatencyFirst),
-        Some("energy_first") => Some(TriageObjective::EnergyFirst),
-        Some(o) => return Err(format!("unknown objective {o:?}")),
-    }
-    .map(|objective| -> Result<TriageSpec, String> {
-        let floor = match v.get("floor") {
-            None | Some(Json::Null) => None,
-            Some(f) => match f.as_f64() {
-                Some(x) if x.is_finite() => Some(x),
-                _ => return Err("\"floor\" must be a finite number".into()),
-            },
-        };
-        Ok(TriageSpec { objective, floor })
-    })
-    .transpose()?;
+    let triage = triage_spec(v, None)?;
     Ok(RefineSpec {
         base,
         points,
@@ -784,6 +769,51 @@ mod tests {
             };
             assert!(msg.contains(frag), "{line} -> {msg}");
         }
+    }
+
+    #[test]
+    fn triage_and_refine_reject_bad_ranking_fields_alike() {
+        for (fields, want) in [
+            (r#""objective":"fastest""#, r#"unknown objective "fastest""#),
+            (
+                r#""objective":"energy_first","floor":1e999"#,
+                r#""floor" must be a finite number"#,
+            ),
+            (
+                r#""objective":"energy_first","floor":"high""#,
+                r#""floor" must be a finite number"#,
+            ),
+        ] {
+            for head in [r#""kind":"triage""#, r#""kind":"refine","base":"hdc""#] {
+                let line = format!(r#"{{"id":"t",{head},{fields}}}"#);
+                match parse_request(&line) {
+                    Err((id, msg)) => {
+                        assert_eq!(id, "t");
+                        assert_eq!(msg, want, "{line}");
+                    }
+                    Ok(_) => panic!("accepted {line}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn top_level_and_grid_tpu_nvm_batch_share_a_digest() {
+        let top = |line: &str| match parse_request(line).unwrap() {
+            Request::Eval { scenario, .. } => scenario.store_key().unwrap(),
+            _ => panic!("not an eval request"),
+        };
+        let grid = match parse_request(
+            r#"{"id":"g","kind":"refine","base":"tpu_nvm","grid":{"batch":[100]}}"#,
+        )
+        .unwrap()
+        {
+            Request::Refine { spec, .. } => spec.points[0].digest,
+            _ => panic!("not a refine request"),
+        };
+        let batched = top(r#"{"id":"t","kind":"tpu_nvm","batch":100}"#);
+        assert_eq!(batched, grid);
+        assert_ne!(batched, top(r#"{"id":"t","kind":"tpu_nvm"}"#));
     }
 
     #[test]

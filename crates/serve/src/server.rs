@@ -1,5 +1,4 @@
-//! The serving pipeline: readiness loop → queue → adaptive batcher →
-//! workers → drain.
+//! The serving pipeline: readiness loop → queue → workers → drain.
 //!
 //! - **Transport.** On unix the TCP transport is a single-threaded,
 //!   readiness-driven event loop (epoll on Linux, `poll()` elsewhere —
@@ -16,15 +15,10 @@
 //!   explicit backpressure instead of unbounded buffering. `stats` and
 //!   `metrics` and `shutdown` bypass the queue so observability
 //!   survives saturation.
-//! - **Adaptive batching.** Worker threads pull from the queue with no
-//!   fixed window: an idle worker dispatches the moment a job arrives
-//!   (micro-batch of one), and while every worker is busy the queue
-//!   accumulates so the next free worker drains up to `batch_max` jobs
-//!   in one lock acquisition. Coalescing happens exactly when the pool
-//!   is saturated and never costs latency when it is not. (The old
-//!   fixed 2 ms window put a ~250x sleep tax on 9 µs evaluations;
-//!   `batch_window` survives only as an artificial pre-drain delay for
-//!   saturation tests, default zero.)
+//! - **Dispatch.** Each enqueue wakes one worker, and each dequeue
+//!   takes one job, so an idle worker starts a job the moment it
+//!   arrives and a backlog spreads across every free worker instead of
+//!   queueing behind whichever one woke first.
 //! - **Containment.** Each job evaluates under per-job panic/error
 //!   containment; a panicking or infeasible scenario fails its own
 //!   request only. Per-request deadlines are checked at evaluation
@@ -65,12 +59,6 @@ pub struct ServerConfig {
     /// Admission queue capacity; beyond this, requests are rejected
     /// with `retry_after_ms`.
     pub queue_cap: usize,
-    /// Artificial delay between a worker waking and draining its batch.
-    /// The adaptive batcher needs no window — this exists so saturation
-    /// tests can stall draining deterministically. Default zero.
-    pub batch_window: Duration,
-    /// Maximum jobs drained into one worker batch.
-    pub batch_max: usize,
     /// Evaluation worker threads (0 = available parallelism).
     pub threads: usize,
     /// Default per-request deadline applied when a request carries
@@ -91,8 +79,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             queue_cap: 256,
-            batch_window: Duration::ZERO,
-            batch_max: 64,
             threads: 0,
             default_deadline: None,
             max_frame: MAX_FRAME_DEFAULT,
@@ -152,7 +138,7 @@ struct Metrics {
     registry: Registry,
     /// Enqueue-to-response latency of completed requests, seconds.
     latency: Arc<Histogram>,
-    /// Enqueue-to-evaluation-start wait, seconds (queueing + batching).
+    /// Enqueue-to-evaluation-start wait, seconds.
     queue_wait: Arc<Histogram>,
     /// Pure evaluation time per request, seconds.
     compute: Arc<Histogram>,
@@ -164,8 +150,8 @@ struct Metrics {
     mc_trials: Arc<Counter>,
     connections_opened: Arc<Counter>,
     connections_closed: Arc<Counter>,
-    /// EWMA of worker nanoseconds per drained job; 0 until the first
-    /// batch completes. Feeds the `retry_after_ms` backpressure hint.
+    /// EWMA of worker nanoseconds per job; 0 until the first job
+    /// completes. Feeds the `retry_after_ms` backpressure hint.
     drain_ns_per_job: AtomicU64,
     /// Per-scenario-kind latency histograms. The kind set is tiny and
     /// static (~10 `&'static str`s), so a linear scan under a mutex is
@@ -239,12 +225,9 @@ impl Metrics {
         }
     }
 
-    /// Folds one drained batch into the drain-rate EWMA (α = 1/4).
-    fn observe_drain(&self, elapsed: Duration, jobs: usize) {
-        if jobs == 0 {
-            return;
-        }
-        let sample = (elapsed.as_nanos() / jobs as u128).clamp(1, u64::MAX as u128) as u64;
+    /// Folds one job's worker time into the drain-rate EWMA (α = 1/4).
+    fn observe_drain(&self, elapsed: Duration) {
+        let sample = elapsed.as_nanos().clamp(1, u64::MAX as u128) as u64;
         let cur = self.drain_ns_per_job.load(Ordering::Relaxed);
         let next = if cur == 0 {
             sample
@@ -332,9 +315,7 @@ impl Server {
     }
 
     /// Like [`Server::new`], with a persistent result store consulted
-    /// before every evaluation and backing `refine` requests. The store
-    /// is also attached process-globally so its counters ride along in
-    /// the memo-cache snapshot.
+    /// before every evaluation and backing `refine` requests.
     pub fn with_store(config: ServerConfig, store: Option<Arc<ResultStore>>) -> Self {
         Self::with_parts(config, store, None)
     }
@@ -346,9 +327,6 @@ impl Server {
         store: Option<Arc<ResultStore>>,
         access_log: Option<AccessLog>,
     ) -> Self {
-        if let Some(s) = &store {
-            xlda_core::store::attach(Arc::clone(s));
-        }
         let worker_count = if config.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -520,14 +498,12 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
 const INLINE_MAX_NS: u64 = 200_000;
 
 /// Whether the event loop may evaluate the next request in place:
-/// nothing is queued ahead of it, the observed drain rate says jobs
-/// are far cheaper than a handoff, and no saturation-test window is
-/// forcing the queue path.
+/// nothing is queued ahead of it and the observed drain rate says jobs
+/// are far cheaper than a handoff.
 pub(crate) fn inline_eligible(shared: &Shared) -> bool {
     let ns = shared.metrics.drain_ns_per_job.load(Ordering::Relaxed);
     ns != 0
         && ns <= INLINE_MAX_NS
-        && shared.config.batch_window.is_zero()
         && shared
             .queue
             .lock()
@@ -604,9 +580,7 @@ pub(crate) fn handle_line_from(
             };
             job.sink.job_started();
             if inline_eval && !shared.draining.load(Ordering::SeqCst) && inline_eligible(shared) {
-                let started = Instant::now();
                 run_one(shared, job);
-                shared.metrics.observe_drain(started.elapsed(), 1);
                 return;
             }
             admit_or_reject(shared, job);
@@ -672,7 +646,7 @@ fn admit(shared: &Shared, job: Job) -> Result<(), Box<Job>> {
 }
 
 /// The backpressure hint: how long until a full queue has drained,
-/// estimated from the observed per-job worker time. Before any batch
+/// estimated from the observed per-job worker time. Before any job
 /// has completed the estimate is the 1 ms floor; the hint is capped at
 /// 10 s so a stalled pool cannot park clients forever.
 fn retry_after_ms(shared: &Shared) -> u64 {
@@ -682,50 +656,33 @@ fn retry_after_ms(shared: &Shared) -> u64 {
     ((queue_ns / 1_000_000) as u64).clamp(1, 10_000)
 }
 
-/// One evaluation worker: wait → drain up to `batch_max` → evaluate →
-/// respond. Waking workers on first enqueue gives immediate dispatch
-/// when the pool has idle capacity; batch draining gives coalescing
-/// when it does not.
+/// One evaluation worker: pop one job → evaluate → respond, until the
+/// server drains and the queue is empty.
 fn worker_loop(shared: &Arc<Shared>) {
+    while let Some(job) = next_job(shared) {
+        if let Some(t) = &job.trace {
+            t.mark(flight::Stage::Queue);
+        }
+        run_one(shared, job);
+    }
+}
+
+/// Blocks until a job is queued and pops it; `None` once the server is
+/// draining and nothing is left.
+fn next_job(shared: &Shared) -> Option<Job> {
+    let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
     loop {
-        // Wait for work (or drain).
-        {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            while q.is_empty() {
-                if shared.draining.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (guard, _) = shared
-                    .not_empty
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
+        if let Some(job) = q.pop_front() {
+            return Some(job);
         }
-        // Test-only saturation knob: emulate the old fixed-window
-        // batcher by stalling between wakeup and drain.
-        if !shared.config.batch_window.is_zero() {
-            std::thread::sleep(shared.config.batch_window);
+        if shared.draining.load(Ordering::SeqCst) {
+            return None;
         }
-        let batch: Vec<Job> = {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            let n = q.len().min(shared.config.batch_max);
-            q.drain(..n).collect()
-        };
-        if batch.is_empty() {
-            continue;
-        }
-        // Every drained job leaves the admission queue *now*; time until
-        // its own evaluation starts is batch serialization.
-        for job in &batch {
-            if let Some(t) = &job.trace {
-                t.mark_once(flight::Stage::Queue);
-            }
-        }
-        let started = Instant::now();
-        let jobs = batch.len();
-        run_batch(shared, batch);
-        shared.metrics.observe_drain(started.elapsed(), jobs);
+        q = shared
+            .not_empty
+            .wait_timeout(q, Duration::from_millis(50))
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
     }
 }
 
@@ -743,14 +700,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic payload".to_string())
 }
 
-/// Evaluates one drained batch and writes every response.
-fn run_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
-    for job in batch {
-        run_one(shared, job);
-    }
-}
-
-/// Runs one job under per-job containment and sends its response.
+/// Runs one job under per-job containment, sends its response, and
+/// folds its worker time into the drain-rate EWMA.
 fn run_one(shared: &Arc<Shared>, job: Job) {
     let metrics = &shared.metrics;
     let eval_start = Instant::now();
@@ -766,7 +717,7 @@ fn run_one(shared: &Arc<Shared>, job: Job) {
         trace,
     } = job;
     if let Some(t) = &trace {
-        // Inline fast-path jobs never saw the worker drain; close the
+        // Inline fast-path jobs never saw a worker pop them; close the
         // queue stage here so it reads as (near) zero instead of unset.
         t.mark_once(flight::Stage::Queue);
         t.mark(flight::Stage::Batch);
@@ -814,6 +765,7 @@ fn run_one(shared: &Arc<Shared>, job: Job) {
             rec.observe(done, metrics.drain_ns_per_job.load(Ordering::Relaxed));
         }
     }
+    metrics.observe_drain(eval_start.elapsed());
 }
 
 /// Cache counters before/after one evaluation, for trace attribution.
@@ -1478,6 +1430,10 @@ mod tests {
         )
     }
 
+    /// A Monte-Carlo request that keeps one worker busy long enough
+    /// (~0.2 s on a 2-vCPU VM) for the requests after it to queue.
+    const SLOW: &str = r#"{"id":"slow","kind":"mann_mc","scenario":{"trials":4096}}"#;
+
     fn recv(rx: &mpsc::Receiver<String>) -> Json {
         let line = rx
             .recv_timeout(Duration::from_secs(30))
@@ -1592,22 +1548,21 @@ mod tests {
 
     #[test]
     fn saturated_queue_rejects_with_retry_after() {
-        // A long pre-drain stall (the batch_window saturation knob) with
-        // a single worker makes admissions outpace draining
-        // deterministically.
+        // The single worker is busy with a slow job, so admissions
+        // outpace draining deterministically.
         let server = Server::new(ServerConfig {
             queue_cap: 2,
             threads: 1,
-            batch_window: Duration::from_millis(300),
             ..ServerConfig::default()
         });
         let (w, rx) = test_writer();
+        server.handle_line(SLOW, &w);
         for i in 0..6 {
             server.handle_line(&format!(r#"{{"id":"q{i}","kind":"mann"}}"#), &w);
         }
         let mut rejected = 0;
         let mut ok = 0;
-        for _ in 0..6 {
+        for _ in 0..7 {
             let v = recv(&rx);
             match v.get("ok").and_then(Json::as_bool) {
                 Some(true) => ok += 1,
@@ -1623,8 +1578,11 @@ mod tests {
                 None => panic!("response without ok"),
             }
         }
-        assert_eq!(ok + rejected, 6, "every request answered");
-        assert!(rejected >= 2, "cap 2 must reject some of 6 rapid requests");
+        assert_eq!(ok + rejected, 7, "every request answered");
+        assert!(
+            rejected >= 4,
+            "cap 2 admits at most 2 of 6 behind a busy worker"
+        );
     }
 
     #[test]
@@ -1645,11 +1603,10 @@ mod tests {
             #[cfg(unix)]
             waker: Mutex::new(None),
         });
-        // No drains observed yet: the hint is the 1 ms floor, not the
-        // (now meaningless) batch window.
+        // No job observed yet: the hint is the 1 ms floor.
         assert_eq!(retry_after_ms(&shared), 1);
         // 100 queued jobs at an observed 2 ms/job on one worker ≈ 200 ms.
-        shared.metrics.observe_drain(Duration::from_millis(20), 10);
+        shared.metrics.observe_drain(Duration::from_millis(2));
         let hint = retry_after_ms(&shared);
         assert!((150..=250).contains(&hint), "hint {hint} vs ~200 ms drain");
         // A stalled pool cannot park clients past the 10 s cap.
@@ -1713,10 +1670,11 @@ mod tests {
     fn shutdown_drains_queued_work_before_returning() {
         let server = Server::new(ServerConfig {
             threads: 1,
-            batch_window: Duration::from_millis(20),
             ..ServerConfig::default()
         });
         let (w, rx) = test_writer();
+        // The hdc jobs are still queued behind the slow one at shutdown.
+        server.handle_line(SLOW, &w);
         for i in 0..5 {
             server.handle_line(&format!(r#"{{"id":"g{i}","kind":"hdc"}}"#), &w);
         }
@@ -1730,7 +1688,7 @@ mod tests {
         for i in 0..5 {
             assert!(answered.contains(&format!("g{i}")), "g{i} dropped");
         }
-        assert!(answered.contains("bye"));
+        assert!(answered.contains("slow") && answered.contains("bye"));
     }
 
     #[test]

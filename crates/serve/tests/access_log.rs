@@ -131,6 +131,62 @@ fn every_request_becomes_one_well_formed_ndjson_line() {
 }
 
 #[test]
+fn queued_jobs_do_not_wait_out_each_other_in_the_batch_stage() {
+    // One worker, a slow job, and three smaller jobs queued behind it.
+    // Each dequeue takes one job, so a job's `batch` stage (dequeue to
+    // evaluation start) never contains another job's evaluation; its
+    // wait behind the others is all `queue`.
+    let buf = Arc::new(Mutex::new(Vec::new()));
+    let log = AccessLog::with_writer(Box::new(Collect(Arc::clone(&buf))), 1024);
+    let config = ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = spawn_with_log(config, log);
+    let mut c = connect(addr);
+    let mut reader = BufReader::new(c.try_clone().unwrap());
+    let mut burst =
+        String::from("{\"id\":\"slow\",\"kind\":\"mann_mc\",\"scenario\":{\"trials\":4096}}\n");
+    for i in 0..3 {
+        burst.push_str(&format!(
+            "{{\"id\":\"f{i}\",\"kind\":\"mann_mc\",\"scenario\":{{\"trials\":1024}}}}\n"
+        ));
+    }
+    c.write_all(burst.as_bytes()).unwrap();
+    for _ in 0..4 {
+        let v = read_response(&mut reader);
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v:?}");
+    }
+    c.write_all(b"{\"id\":\"bye\",\"kind\":\"shutdown\"}\n")
+        .unwrap();
+    read_response(&mut reader);
+    drop((c, reader));
+    handle.join().expect("server thread");
+
+    let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+    let stage = |id: &str, name: &str| -> f64 {
+        text.lines()
+            .map(|l| Json::parse(l).unwrap())
+            .find(|l| l.get("id").and_then(Json::as_str) == Some(id))
+            .and_then(|l| l.get("stages_ns")?.get(name)?.as_f64())
+            .unwrap_or_else(|| panic!("no {name} stage for {id}:\n{text}"))
+    };
+    let slow_eval = stage("slow", "eval");
+    for i in 0..3 {
+        let id = format!("f{i}");
+        let (queue, batch) = (stage(&id, "queue"), stage(&id, "batch"));
+        assert!(
+            batch < slow_eval / 10.0,
+            "{id} batch {batch} ns vs slow eval {slow_eval} ns"
+        );
+        assert!(
+            queue > batch,
+            "{id} waited in queue {queue} ns, batch {batch} ns"
+        );
+    }
+}
+
+#[test]
 fn wedged_log_sink_is_absorbed_by_the_drop_counter_not_a_stall() {
     struct Wedged;
     impl Write for Wedged {

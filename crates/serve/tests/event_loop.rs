@@ -157,29 +157,27 @@ fn malformed_frame_fails_alone_connection_stays_usable() {
 }
 
 #[test]
-fn deadline_expires_behind_a_stalled_batch() {
-    // One worker with a 150 ms pre-drain stall (the saturation knob):
-    // both requests sit queued long enough for the zero-deadline one
-    // to expire, while its neighbour completes normally.
+fn deadline_expires_behind_a_busy_worker() {
+    // One worker busy with a slow Monte-Carlo job: both requests sit
+    // queued behind it long enough for the zero-deadline one to expire,
+    // while its neighbour completes normally.
     let (addr, handle) = spawn(ServerConfig {
         threads: 1,
-        batch_window: Duration::from_millis(150),
         ..ServerConfig::default()
     });
     let mut c = connect(addr);
     let mut reader = BufReader::new(c.try_clone().unwrap());
-    c.write_all(b"{\"id\":\"patient\",\"kind\":\"hdc\"}\n{\"id\":\"expired\",\"kind\":\"hdc\",\"deadline_ms\":0}\n")
+    c.write_all(b"{\"id\":\"slow\",\"kind\":\"mann_mc\",\"scenario\":{\"trials\":4096}}\n{\"id\":\"patient\",\"kind\":\"hdc\"}\n{\"id\":\"expired\",\"kind\":\"hdc\",\"deadline_ms\":0}\n")
         .unwrap();
     c.flush().unwrap();
     let mut by_id = std::collections::HashMap::new();
-    for _ in 0..2 {
+    for _ in 0..3 {
         let v = read_response(&mut reader);
         by_id.insert(v.get("id").and_then(Json::as_str).unwrap().to_string(), v);
     }
-    assert_eq!(
-        by_id["patient"].get("ok").and_then(Json::as_bool),
-        Some(true)
-    );
+    for id in ["slow", "patient"] {
+        assert_eq!(by_id[id].get("ok").and_then(Json::as_bool), Some(true));
+    }
     assert_eq!(
         by_id["expired"].get("code").and_then(Json::as_str),
         Some("deadline")

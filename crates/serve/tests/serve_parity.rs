@@ -3,8 +3,8 @@
 //! caches, interleaved kinds, and a saturated queue included.
 //!
 //! Runs the real binary in `--stdio` mode (one process per test, piped
-//! line protocol), which exercises the same queue → batcher → pool →
-//! drain pipeline as the TCP transport.
+//! line protocol), which exercises the same queue → pool → drain
+//! pipeline as the TCP transport.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -213,10 +213,12 @@ fn interleaved_kinds_match_library_bit_exactly_cold_and_warm() {
 
 #[test]
 fn saturated_queue_rejections_are_well_formed_and_retryable() {
-    // Tiny queue + long batch window: most of a rapid burst must be
-    // rejected with retry-after, and retries must eventually succeed,
-    // so no request is ever silently dropped.
-    let mut server = ServerProc::spawn(&["--queue-cap", "2", "--batch-window-ms", "100"]);
+    // Tiny queue + one worker busy with a slow Monte-Carlo job: most of
+    // a rapid burst must be rejected with retry-after, and retries must
+    // eventually succeed, so no request is ever silently dropped.
+    let mut server = ServerProc::spawn(&["--queue-cap", "2", "--threads", "1"]);
+    server.send(r#"{"id":"slow","kind":"mann_mc","scenario":{"trials":4096}}"#);
+    let mut slow_answered = false;
     let total = 12;
     let mut pending: Vec<String> = (0..total).map(|i| format!("b{i}")).collect();
     let mut done: HashMap<String, Json> = HashMap::new();
@@ -233,9 +235,16 @@ fn saturated_queue_rejections_are_well_formed_and_retryable() {
             server.send(&format!(r#"{{"id":"{id}","kind":"hdc"}}"#));
         }
         let mut retry = Vec::new();
-        for _ in 0..pending.len() {
+        let mut answered = 0;
+        while answered < pending.len() {
             let v = server.recv();
             let id = v.get("id").and_then(Json::as_str).unwrap().to_string();
+            if id == "slow" {
+                assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{v}");
+                slow_answered = true;
+                continue;
+            }
+            answered += 1;
             match v.get("ok").and_then(Json::as_bool) {
                 Some(true) => {
                     done.insert(id, v);
@@ -270,6 +279,7 @@ fn saturated_queue_rejections_are_well_formed_and_retryable() {
         }
     }
     assert_eq!(done.len(), total, "every request eventually served");
+    assert!(slow_answered, "the slow job was served ahead of its queue");
     assert!(rejections > 0, "cap-2 queue never rejected a 12-burst");
     for v in done.values() {
         assert_parity(v, &HdcScenario::default());
