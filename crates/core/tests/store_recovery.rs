@@ -10,7 +10,7 @@
 use std::fs;
 use std::path::PathBuf;
 use xlda_core::evaluate::{HdcScenario, MannScenario, Scenario};
-use xlda_core::store::{ResultStore, StoreOptions, HEADER_LEN};
+use xlda_core::store::{ResultStore, StoreOptions, HEADER_LEN, MODEL_FINGERPRINT};
 
 /// Unique temp path per test so parallel test threads never collide.
 fn tmp(name: &str) -> PathBuf {
@@ -153,6 +153,24 @@ fn alien_or_version_mismatched_file_resets() {
     let store = ResultStore::open(&path).expect("reopen");
     assert_eq!(store.load_report().recovered_records, 1);
     assert!(!store.load_report().reset);
+    drop(store);
+
+    // This build's magic and format, another model fingerprint, then one
+    // well-formed record: the record was computed by other numerics, so
+    // the file resets instead of serving it.
+    let bytes = fs::read(&path).expect("read");
+    let header = &bytes[..HEADER_LEN as usize];
+    let fp_at = HEADER_LEN as usize - 8;
+    assert_eq!(header[fp_at..], MODEL_FINGERPRINT.to_le_bytes());
+    let mut foreign = bytes.clone();
+    foreign[fp_at..HEADER_LEN as usize].copy_from_slice(&(!MODEL_FINGERPRINT).to_le_bytes());
+    fs::write(&path, &foreign).expect("write foreign");
+    let store = ResultStore::open(&path).expect("open resets");
+    let rep = store.load_report();
+    assert!(rep.reset);
+    assert_eq!(rep.recovered_records, 0);
+    drop(store);
+    assert_eq!(fs::read(&path).expect("reread"), header);
     let _ = fs::remove_file(&path);
 }
 
