@@ -29,6 +29,15 @@
 //! so results are bit-identical for any batch size, worker count, or
 //! schedule — pinned by the chunking-invariance tests and the bench
 //! checksum gate, but true by construction.
+//!
+//! # Sampler
+//!
+//! Trial streams draw their normals by ziggurat
+//! ([`xlda_num::trial::Ziggurat`]), not by the Box–Muller transform the
+//! simulators use. The device formulas take the trial stream as their
+//! sampler. A statistical gate in this module's tests holds every kind's
+//! mean, σ, percentiles and yield within sampling error of a Box–Muller
+//! population run through the same trial bodies.
 
 use crate::error::{validate_fom, XldaError};
 use crate::evaluate::{Evaluation, Scenario};
@@ -40,7 +49,10 @@ use xlda_device::mlc::{MultiLevelCell, StateVariable};
 use xlda_device::rram::Rram;
 use xlda_device::MemoryDevice;
 use xlda_evacam::variation::{max_cells_with_variation, CellVariation};
-use xlda_num::trial::{checksum, summarize, yield_fraction, Summary, TrialBatch};
+use xlda_num::rng::NormalSampler;
+use xlda_num::trial::{
+    checksum, summarize, yield_fraction, NormalMethod, Summary, TrialBatch, Ziggurat,
+};
 
 /// Default trials per batch when [`McParams::batch`] is 0: large enough
 /// to amortize dispatch, small enough that a 1-core smoke run still
@@ -173,6 +185,23 @@ pub fn run_trials_with<F>(
 where
     F: Fn(&mut TrialBatch, &mut [Vec<f64>]) -> Result<(), XldaError> + Sync,
 {
+    run_trials(trials, seed, batch, opts, outputs, eval)
+}
+
+/// [`run_trials_with`] over trial streams that draw normals by `N`. Every
+/// kind runs [`Ziggurat`]; only the statistical gate's tests run another
+/// method through the same trial bodies.
+fn run_trials<N: NormalMethod, F>(
+    trials: usize,
+    seed: u64,
+    batch: usize,
+    opts: &SweepOptions,
+    outputs: usize,
+    eval: F,
+) -> Result<Vec<Vec<f64>>, XldaError>
+where
+    F: Fn(&mut TrialBatch<N>, &mut [Vec<f64>]) -> Result<(), XldaError> + Sync,
+{
     let _span = xlda_obs::span!("mc.trials");
     let batch = if batch == 0 { DEFAULT_BATCH } else { batch };
     let ranges: Vec<(u64, usize)> = (0..trials)
@@ -183,7 +212,7 @@ where
         &ranges,
         |&(start, len)| {
             let _span = xlda_obs::span!("mc.batch");
-            let mut b = TrialBatch::new(seed, start, len);
+            let mut b = TrialBatch::<N>::new(seed, start, len);
             let mut cols: Vec<Vec<f64>> = (0..outputs).map(|_| vec![0.0; len]).collect();
             eval(&mut b, &mut cols)?;
             assert!(
@@ -285,6 +314,11 @@ impl CamYieldMcScenario {
     /// Raw outcome columns (`[margin]`) under an explicit sweep
     /// configuration — the chunking-invariance test hook.
     pub fn outcomes_with(&self, opts: &SweepOptions) -> Result<Vec<Vec<f64>>, XldaError> {
+        self.outcomes::<Ziggurat>(opts)
+    }
+
+    /// The trial body, over trial streams that draw normals by `N`.
+    fn outcomes<N: NormalMethod>(&self, opts: &SweepOptions) -> Result<Vec<Vec<f64>>, XldaError> {
         self.validate()?;
         let (g_on, g_off) = (self.g_on, self.g_off);
         let (s_on, s_off) = (
@@ -292,7 +326,7 @@ impl CamYieldMcScenario {
             self.variation.sigma_g_off_rel,
         );
         let (cells, m) = (self.cells, self.mismatches);
-        run_trials_with(
+        run_trials::<N, _>(
             self.mc.trials,
             self.mc.seed,
             self.mc.batch,
@@ -329,36 +363,9 @@ impl CamYieldMcScenario {
             },
         )
     }
-}
 
-impl Scenario for CamYieldMcScenario {
-    fn kind(&self) -> &'static str {
-        "cam_yield_mc"
-    }
-
-    /// `trials` and `seed` fully determine the draws; `batch`/`threads`
-    /// are schedule-only (bit-identical results by the trial-stream
-    /// contract) and deliberately left out of the key.
-    fn store_key(&self) -> Option<Digest> {
-        let mut w = DigestWriter::new(self.kind());
-        w.usize(self.mc.trials)
-            .word(self.mc.seed)
-            .usize(self.cells)
-            .usize(self.mismatches)
-            .f64(self.g_on)
-            .f64(self.g_off)
-            .f64(self.variation.sigma_g_on_rel)
-            .f64(self.variation.sigma_g_off_rel)
-            .f64(self.target_error);
-        Some(w.finish())
-    }
-
-    fn candidates(&self) -> Result<Vec<Candidate>, XldaError> {
-        Ok(self.evaluate()?.candidates)
-    }
-
-    fn evaluate(&self) -> Result<Evaluation, XldaError> {
-        let cols = self.outcomes_with(&self.mc.sweep_opts())?;
+    /// Distributions and candidates from the outcome columns.
+    fn evaluation(&self, cols: &[Vec<f64>]) -> Result<Evaluation, XldaError> {
         let margins = &cols[0];
         let dist = distribution(
             "matchline_margin",
@@ -394,6 +401,37 @@ impl Scenario for CamYieldMcScenario {
     }
 }
 
+impl Scenario for CamYieldMcScenario {
+    fn kind(&self) -> &'static str {
+        "cam_yield_mc"
+    }
+
+    /// `trials` and `seed` fully determine the draws; `batch`/`threads`
+    /// are schedule-only (bit-identical results by the trial-stream
+    /// contract) and deliberately left out of the key.
+    fn store_key(&self) -> Option<Digest> {
+        let mut w = DigestWriter::new(self.kind());
+        w.usize(self.mc.trials)
+            .word(self.mc.seed)
+            .usize(self.cells)
+            .usize(self.mismatches)
+            .f64(self.g_on)
+            .f64(self.g_off)
+            .f64(self.variation.sigma_g_on_rel)
+            .f64(self.variation.sigma_g_off_rel)
+            .f64(self.target_error);
+        Some(w.finish())
+    }
+
+    fn candidates(&self) -> Result<Vec<Candidate>, XldaError> {
+        Ok(self.evaluate()?.candidates)
+    }
+
+    fn evaluate(&self) -> Result<Evaluation, XldaError> {
+        self.evaluation(&self.outcomes_with(&self.mc.sweep_opts())?)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // MANN accuracy
 // ---------------------------------------------------------------------------
@@ -402,9 +440,9 @@ impl Scenario for CamYieldMcScenario {
 ///
 /// Each trial realizes one in-memory LSH hash array: per hash bit, a
 /// differential pair of stochastic HRS conductances
-/// ([`Rram::sample_stochastic_hrs`]), then conductance relaxation over
+/// ([`Rram::hrs_sampler`]), then conductance relaxation over
 /// [`relax_decades`](Self::relax_decades) decades
-/// ([`Rram::try_relax`] — the typed-error path) and multiplicative read
+/// ([`Rram::relaxation`] — the typed-error path) and multiplicative read
 /// noise on the differential. A bit flips when the perturbed
 /// differential changes sign; the trial's retrieval accuracy degrades
 /// linearly toward chance level at 50 % flipped bits (binary random
@@ -458,23 +496,28 @@ impl MannAccuracyMcScenario {
                 quantity: "hash configuration",
             });
         }
-        // relax_decades is validated by the device layer (try_relax) on
-        // the first draw; nothing to pre-check here.
+        // relax_decades is validated by the device layer
+        // (Rram::relaxation), once per scenario.
         Ok(())
     }
 
     /// Raw outcome columns (`[accuracy, flip_fraction]`) under an
     /// explicit sweep configuration — the chunking-invariance test hook.
     pub fn outcomes_with(&self, opts: &SweepOptions) -> Result<Vec<Vec<f64>>, XldaError> {
+        self.outcomes::<Ziggurat>(opts)
+    }
+
+    /// The trial body, over trial streams that draw normals by `N`.
+    fn outcomes<N: NormalMethod>(&self, opts: &SweepOptions) -> Result<Vec<Vec<f64>>, XldaError> {
         self.validate()?;
         let dev = Rram::taox();
         let hrs = dev.hrs_sampler();
+        let relax = dev.relaxation(self.relax_decades)?;
         let bits = self.hash_bits;
-        let decades = self.relax_decades;
         let read_noise = self.read_noise;
         let chance = 1.0 / self.entries as f64;
         let acc_sw = self.acc_software;
-        run_trials_with(
+        run_trials::<N, _>(
             self.mc.trials,
             self.mc.seed,
             self.mc.batch,
@@ -487,30 +530,16 @@ impl MannAccuracyMcScenario {
                 // (and relaxed, and read) across the batch before bit
                 // b+1 — fixed per-trial stream order, columnar updates.
                 for _ in 0..bits {
-                    let mut err = None;
                     batch.for_each(|i, rng| {
-                        if err.is_some() {
-                            return;
-                        }
                         let g_pos = hrs.sample(rng);
                         let g_neg = hrs.sample(rng);
                         let d0 = g_pos - g_neg;
-                        let relaxed = dev
-                            .try_relax(g_pos, decades, rng)
-                            .and_then(|p| dev.try_relax(g_neg, decades, rng).map(|q| p - q));
-                        match relaxed {
-                            Ok(d_relaxed) => {
-                                let d1 = d_relaxed * (1.0 + rng.normal(0.0, read_noise));
-                                if (d1 > 0.0) != (d0 > 0.0) {
-                                    flips[i] += 1;
-                                }
-                            }
-                            Err(e) => err = Some(e),
+                        let d_relaxed = relax.sample(g_pos, rng) - relax.sample(g_neg, rng);
+                        let d1 = d_relaxed * (1.0 + rng.normal(0.0, read_noise));
+                        if (d1 > 0.0) != (d0 > 0.0) {
+                            flips[i] += 1;
                         }
                     });
-                    if let Some(e) = err {
-                        return Err(e.into());
-                    }
                 }
                 let (acc_col, rest) = cols.split_first_mut().expect("two output columns");
                 let flip_col = &mut rest[0];
@@ -524,6 +553,34 @@ impl MannAccuracyMcScenario {
                 Ok(())
             },
         )
+    }
+
+    /// Distributions and candidates from the outcome columns.
+    fn evaluation(&self, cols: &[Vec<f64>]) -> Result<Evaluation, XldaError> {
+        let acc_floor = self.acc_floor;
+        let acc = distribution(
+            "accuracy",
+            "fraction",
+            "accuracy >= acc_floor",
+            &cols[0],
+            |x| x >= acc_floor,
+        );
+        let flips = distribution(
+            "flip_fraction",
+            "fraction",
+            "flip_fraction <= 0.5 (above: hash is chance-level)",
+            &cols[1],
+            |x| x <= 0.5,
+        );
+        let candidates = vec![
+            fraction_candidate("RRAM MANN accuracy p05", acc.summary.p5)?,
+            fraction_candidate("RRAM MANN accuracy p50", acc.summary.p50)?,
+            fraction_candidate("RRAM MANN accuracy p95", acc.summary.p95)?,
+        ];
+        Ok(Evaluation {
+            candidates,
+            distributions: vec![acc, flips],
+        })
     }
 }
 
@@ -552,31 +609,7 @@ impl Scenario for MannAccuracyMcScenario {
     }
 
     fn evaluate(&self) -> Result<Evaluation, XldaError> {
-        let cols = self.outcomes_with(&self.mc.sweep_opts())?;
-        let acc_floor = self.acc_floor;
-        let acc = distribution(
-            "accuracy",
-            "fraction",
-            "accuracy >= acc_floor",
-            &cols[0],
-            |x| x >= acc_floor,
-        );
-        let flips = distribution(
-            "flip_fraction",
-            "fraction",
-            "flip_fraction <= 0.5 (above: hash is chance-level)",
-            &cols[1],
-            |x| x <= 0.5,
-        );
-        let candidates = vec![
-            fraction_candidate("RRAM MANN accuracy p05", acc.summary.p5)?,
-            fraction_candidate("RRAM MANN accuracy p50", acc.summary.p50)?,
-            fraction_candidate("RRAM MANN accuracy p95", acc.summary.p95)?,
-        ];
-        Ok(Evaluation {
-            candidates,
-            distributions: vec![acc, flips],
-        })
+        self.evaluation(&self.outcomes_with(&self.mc.sweep_opts())?)
     }
 }
 
@@ -671,6 +704,11 @@ impl NvmLifetimeMcScenario {
     /// under an explicit sweep configuration — the chunking-invariance
     /// test hook.
     pub fn outcomes_with(&self, opts: &SweepOptions) -> Result<Vec<Vec<f64>>, XldaError> {
+        self.outcomes::<Ziggurat>(opts)
+    }
+
+    /// The trial body, over trial streams that draw normals by `N`.
+    fn outcomes<N: NormalMethod>(&self, opts: &SweepOptions) -> Result<Vec<Vec<f64>>, XldaError> {
         self.validate()?;
         let cell = MultiLevelCell::uniform(
             StateVariable::ThresholdVoltage,
@@ -686,7 +724,7 @@ impl NvmLifetimeMcScenario {
         let (leveling, leveling_sigma) = (self.leveling, self.leveling_sigma);
         let capacity = self.capacity_bytes;
         let traffic = self.write_bytes_per_second;
-        run_trials_with(
+        run_trials::<N, _>(
             self.mc.trials,
             self.mc.seed,
             self.mc.batch,
@@ -723,39 +761,9 @@ impl NvmLifetimeMcScenario {
             },
         )
     }
-}
 
-impl Scenario for NvmLifetimeMcScenario {
-    fn kind(&self) -> &'static str {
-        "nvm_mc"
-    }
-
-    /// Scheduling-only `batch`/`threads` excluded; see
-    /// [`CamYieldMcScenario::store_key`].
-    fn store_key(&self) -> Option<Digest> {
-        let mut w = DigestWriter::new(self.kind());
-        w.usize(self.mc.trials)
-            .word(self.mc.seed)
-            .f64(self.capacity_bytes)
-            .f64(self.write_bytes_per_second)
-            .f64(self.leveling)
-            .f64(self.leveling_sigma)
-            .f64(self.endurance)
-            .f64(self.endurance_sigma_decades)
-            .f64(self.required_years)
-            .word(u64::from(self.vth_bits))
-            .f64(self.vth_lo)
-            .f64(self.vth_hi)
-            .f64(self.vth_sigma);
-        Some(w.finish())
-    }
-
-    fn candidates(&self) -> Result<Vec<Candidate>, XldaError> {
-        Ok(self.evaluate()?.candidates)
-    }
-
-    fn evaluate(&self) -> Result<Evaluation, XldaError> {
-        let cols = self.outcomes_with(&self.mc.sweep_opts())?;
+    /// Distributions and candidates from the outcome columns.
+    fn evaluation(&self, cols: &[Vec<f64>]) -> Result<Evaluation, XldaError> {
         let years = self.required_years;
         let lifetime = distribution(
             "lifetime",
@@ -796,9 +804,45 @@ impl Scenario for NvmLifetimeMcScenario {
     }
 }
 
+impl Scenario for NvmLifetimeMcScenario {
+    fn kind(&self) -> &'static str {
+        "nvm_mc"
+    }
+
+    /// Scheduling-only `batch`/`threads` excluded; see
+    /// [`CamYieldMcScenario::store_key`].
+    fn store_key(&self) -> Option<Digest> {
+        let mut w = DigestWriter::new(self.kind());
+        w.usize(self.mc.trials)
+            .word(self.mc.seed)
+            .f64(self.capacity_bytes)
+            .f64(self.write_bytes_per_second)
+            .f64(self.leveling)
+            .f64(self.leveling_sigma)
+            .f64(self.endurance)
+            .f64(self.endurance_sigma_decades)
+            .f64(self.required_years)
+            .word(u64::from(self.vth_bits))
+            .f64(self.vth_lo)
+            .f64(self.vth_hi)
+            .f64(self.vth_sigma);
+        Some(w.finish())
+    }
+
+    fn candidates(&self) -> Result<Vec<Candidate>, XldaError> {
+        Ok(self.evaluate()?.candidates)
+    }
+
+    fn evaluate(&self) -> Result<Evaluation, XldaError> {
+        self.evaluation(&self.outcomes_with(&self.mc.sweep_opts())?)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xlda_num::rng::Rng64;
+    use xlda_num::trial::quantile;
 
     #[test]
     fn run_trials_concatenates_in_order() {
@@ -983,6 +1027,138 @@ mod tests {
         // Deterministic scenarios report no distributions via the default.
         let hdc = crate::evaluate::HdcScenario::default();
         assert!(hdc.evaluate().unwrap().distributions.is_empty());
+    }
+
+    /// Box–Muller on a trial stream: the reference population of the
+    /// sampler gate. Only tests draw trial normals by it.
+    #[derive(Debug, Clone, Copy)]
+    enum BoxMuller {}
+
+    impl NormalMethod for BoxMuller {
+        fn standard_normal(rng: &mut Rng64) -> f64 {
+            rng.standard_normal()
+        }
+    }
+
+    /// Standard error of the `p`-quantile of a sorted sample: the spread
+    /// of the order statistics two binomial standard deviations of rank
+    /// either side, over four. Distribution-free, and not zero on the
+    /// lattice-valued MANN outcomes when the window straddles a step.
+    fn quantile_se(sorted: &[f64], p: f64) -> f64 {
+        let w = 2.0 * (p * (1.0 - p) / sorted.len() as f64).sqrt();
+        (quantile(sorted, (p + w).min(1.0)) - quantile(sorted, (p - w).max(0.0))) / 4.0
+    }
+
+    /// `(name, value, standard error)` of one distribution's mean, σ,
+    /// p5/p50/p95 and yield; `col` is its outcome column.
+    fn gated_stats(d: &McDistribution, col: &[f64]) -> [(&'static str, f64, f64); 6] {
+        let s = d.summary;
+        let n = s.trials as f64;
+        let mut sorted: Vec<f64> = col.iter().copied().filter(|x| !x.is_nan()).collect();
+        sorted.sort_by(f64::total_cmp);
+        let var = s.std_dev * s.std_dev;
+        let m4 = sorted.iter().map(|x| (x - s.mean).powi(4)).sum::<f64>() / n;
+        let y = d.yield_fraction;
+        [
+            ("mean", s.mean, (var / n).sqrt()),
+            (
+                "sigma",
+                s.std_dev,
+                ((m4 - var * var) / (4.0 * var * n)).sqrt(),
+            ),
+            ("p5", s.p5, quantile_se(&sorted, 0.05)),
+            ("p50", s.p50, quantile_se(&sorted, 0.50)),
+            ("p95", s.p95, quantile_se(&sorted, 0.95)),
+            ("yield", y, (y * (1.0 - y) / col.len() as f64).sqrt()),
+        ]
+    }
+
+    /// The private trial body and summary step of each kind.
+    trait Gated: Scenario + Sized {
+        fn run<N: NormalMethod>(&self) -> Vec<Vec<f64>>;
+        fn summary(&self, cols: &[Vec<f64>]) -> Evaluation;
+    }
+
+    macro_rules! gated {
+        ($($kind:ty),*) => {$(
+            impl Gated for $kind {
+                fn run<N: NormalMethod>(&self) -> Vec<Vec<f64>> {
+                    self.outcomes::<N>(&SweepOptions::default()).unwrap()
+                }
+                fn summary(&self, cols: &[Vec<f64>]) -> Evaluation {
+                    self.evaluation(cols).unwrap()
+                }
+            }
+        )*};
+    }
+
+    gated!(
+        CamYieldMcScenario,
+        MannAccuracyMcScenario,
+        NvmLifetimeMcScenario
+    );
+
+    /// The sampler gate: `s` runs its trial body with ziggurat streams,
+    /// `reference` (`s` on an independent seed) with Box–Muller ones.
+    /// Every distribution's mean, σ, p5/p50/p95 and yield must agree
+    /// within four standard errors of the difference.
+    fn assert_sampler_gate<S: Gated>(s: &S, reference: &S) {
+        let zig_cols = s.run::<Ziggurat>();
+        let ref_cols = reference.run::<BoxMuller>();
+        let (zig, bm) = (s.summary(&zig_cols), reference.summary(&ref_cols));
+        assert_eq!(zig.distributions.len(), bm.distributions.len());
+        for (k, (dz, dr)) in zig.distributions.iter().zip(&bm.distributions).enumerate() {
+            assert_eq!(dz.summary.nan_count, dr.summary.nan_count);
+            let stats = gated_stats(dz, &zig_cols[k])
+                .into_iter()
+                .zip(gated_stats(dr, &ref_cols[k]));
+            for ((what, got, se_z), (_, want, se_r)) in stats {
+                let se = se_z.hypot(se_r);
+                assert!(
+                    (got - want).abs() <= 4.0 * se,
+                    "{} {} {what}: ziggurat {got} vs Box-Muller {want} (se {se:e})",
+                    s.kind(),
+                    dz.name
+                );
+            }
+        }
+    }
+
+    /// Trial populations of the gate: the default seed, and an
+    /// independent one for the Box–Muller reference.
+    fn gate_params(trials: usize) -> [McParams; 2] {
+        [0xA11CE, 0xB0C5_3A11].map(|seed| McParams {
+            trials,
+            seed,
+            ..McParams::default()
+        })
+    }
+
+    #[test]
+    fn sampler_gate_cam_yield_mc() {
+        let [s, r] = gate_params(1 << 14).map(|mc| CamYieldMcScenario {
+            mc,
+            ..CamYieldMcScenario::default()
+        });
+        assert_sampler_gate(&s, &r);
+    }
+
+    #[test]
+    fn sampler_gate_mann_mc() {
+        let [s, r] = gate_params(4096).map(|mc| MannAccuracyMcScenario {
+            mc,
+            ..MannAccuracyMcScenario::default()
+        });
+        assert_sampler_gate(&s, &r);
+    }
+
+    #[test]
+    fn sampler_gate_nvm_mc() {
+        let [s, r] = gate_params(1 << 14).map(|mc| NvmLifetimeMcScenario {
+            mc,
+            ..NvmLifetimeMcScenario::default()
+        });
+        assert_sampler_gate(&s, &r);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Gaussian programming, nearest-level readout, and analytical
 //! error-rate computation.
 
-use xlda_num::rng::Rng64;
+use xlda_num::rng::{NormalSampler, Rng64};
 use xlda_num::stats::{gaussian_overlap_error, Histogram};
 
 /// What physical quantity the levels represent.
@@ -136,12 +136,12 @@ impl MultiLevelCell {
     }
 
     /// Programs level `i`, returning the analog value actually written
-    /// (target plus Gaussian programming error).
+    /// (target plus Gaussian programming error drawn from `rng`).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn program(&self, i: usize, rng: &mut Rng64) -> f64 {
+    pub fn program<R: NormalSampler + ?Sized>(&self, i: usize, rng: &mut R) -> f64 {
         assert!(i < self.levels.len(), "level out of range");
         rng.normal(self.levels[i], self.sigma)
     }

@@ -18,7 +18,7 @@
 
 use crate::mlc::{MultiLevelCell, StateVariable};
 use crate::{DeviceKind, MemoryDevice};
-use xlda_num::rng::Rng64;
+use xlda_num::rng::{NormalSampler, Rng64};
 
 /// Error from the fallible RRAM state-evolution entry points.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -159,12 +159,34 @@ impl Rram {
     /// Fallible [`relax`](Rram::relax): rejects negative or non-finite
     /// `decades` instead of letting `decades.sqrt()` poison the
     /// conductance with NaN.
-    pub fn try_relax(&self, g: f64, decades: f64, rng: &mut Rng64) -> Result<f64, RramError> {
+    pub fn try_relax<R: NormalSampler + ?Sized>(
+        &self,
+        g: f64,
+        decades: f64,
+        rng: &mut R,
+    ) -> Result<f64, RramError> {
+        Ok(self.relaxation(decades)?.sample(g, rng))
+    }
+
+    /// The relaxation [`try_relax`](Rram::try_relax) applies after
+    /// `decades` decades, validated and with `decades.sqrt()` taken once:
+    /// loops that relax many conductances over one elapsed time take this
+    /// once and sample from it.
+    ///
+    /// # Errors
+    ///
+    /// [`RramError::InvalidRelaxTime`] if `decades` is negative or not
+    /// finite.
+    pub fn relaxation(&self, decades: f64) -> Result<Relaxation, RramError> {
         if !decades.is_finite() || decades < 0.0 {
             return Err(RramError::InvalidRelaxTime { decades });
         }
-        let sigma = self.relax_rel * g * decades.sqrt();
-        Ok(rng.normal(g, sigma).clamp(self.g_min, self.g_max))
+        Ok(Relaxation {
+            relax_rel: self.relax_rel,
+            sqrt_decades: decades.sqrt(),
+            g_min: self.g_min,
+            g_max: self.g_max,
+        })
     }
 
     /// Samples a device-to-device stochastic HRS conductance.
@@ -275,9 +297,28 @@ pub struct HrsSampler {
 
 impl HrsSampler {
     /// Draws one conductance (S).
-    pub fn sample(&self, rng: &mut Rng64) -> f64 {
+    pub fn sample<R: NormalSampler + ?Sized>(&self, rng: &mut R) -> f64 {
         let g = rng.log_normal(self.mu, 0.6);
         g.clamp(self.g_min, self.g_max)
+    }
+}
+
+/// One device's conductance relaxation over a fixed elapsed time: a
+/// normal drift with one-sigma `relax_rel · g · sqrt(decades)`, clipped
+/// to the programmable window. Built by [`Rram::relaxation`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Relaxation {
+    relax_rel: f64,
+    sqrt_decades: f64,
+    g_min: f64,
+    g_max: f64,
+}
+
+impl Relaxation {
+    /// The relaxed value of conductance `g` (S).
+    pub fn sample<R: NormalSampler + ?Sized>(&self, g: f64, rng: &mut R) -> f64 {
+        let sigma = self.relax_rel * g * self.sqrt_decades;
+        rng.normal(g, sigma).clamp(self.g_min, self.g_max)
     }
 }
 

@@ -16,8 +16,9 @@
 //! - [`memo`] — the sharded, instrumented memoization caches the layer
 //!   crates use to share sub-evaluations across design-space sweep points;
 //! - [`trial`] — structure-of-arrays Monte-Carlo trial batches with
-//!   per-trial `(seed, index)`-derived streams, distribution summaries,
-//!   and determinism checksums for the variation-aware scenarios;
+//!   per-trial `(seed, index)`-derived streams that draw normals by
+//!   ziggurat, distribution summaries, and determinism checksums for the
+//!   variation-aware scenarios;
 //! - [`batch`] — structure-of-arrays candidate batches, the result shape
 //!   of `xlda_core::evaluate::sweep_scenarios`.
 //!

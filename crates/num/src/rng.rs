@@ -156,8 +156,7 @@ impl Rng64 {
     ///
     /// Panics if `sigma` is negative.
     pub fn normal(&mut self, mean: f64, sigma: f64) -> f64 {
-        assert!(sigma >= 0.0, "negative sigma");
-        mean + sigma * self.standard_normal()
+        NormalSampler::normal(self, mean, sigma)
     }
 
     /// Log-normal sample: `exp(N(mu, sigma))`.
@@ -165,7 +164,7 @@ impl Rng64 {
     /// Used for conductance distributions, which are strictly positive and
     /// right-skewed in measured RRAM data.
     pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
+        NormalSampler::log_normal(self, mu, sigma)
     }
 
     /// Fisher–Yates shuffle of a slice.
@@ -204,6 +203,39 @@ impl Rng64 {
         (0..len)
             .map(|_| if self.chance(0.5) { 1.0 } else { -1.0 })
             .collect()
+    }
+}
+
+/// A source of normal draws: the sampler the device formulas take as a
+/// parameter.
+///
+/// A plain [`Rng64`] draws by Box–Muller, which every simulator and
+/// reproduction binary uses; a Monte-Carlo trial stream
+/// ([`crate::trial::TrialRng`]) draws by ziggurat. Both derive `normal`
+/// and `log_normal` from `standard_normal` by the same formulas.
+pub trait NormalSampler {
+    /// One draw from N(0, 1).
+    fn standard_normal(&mut self) -> f64;
+
+    /// One draw from N(`mean`, `sigma`²).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sigma` is negative.
+    fn normal(&mut self, mean: f64, sigma: f64) -> f64 {
+        assert!(sigma >= 0.0, "negative sigma");
+        mean + sigma * self.standard_normal()
+    }
+
+    /// One log-normal draw: `exp(N(mu, sigma))`.
+    fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
+        self.normal(mu, sigma).exp()
+    }
+}
+
+impl NormalSampler for Rng64 {
+    fn standard_normal(&mut self) -> f64 {
+        Rng64::standard_normal(self)
     }
 }
 
